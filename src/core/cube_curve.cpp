@@ -100,6 +100,13 @@ bool search_stitching(const mesh::cubed_sphere& mesh, int ne, cell entry_base,
   return false;
 }
 
+std::array<int, 6> positions_of(const std::array<int, 6>& face_order) {
+  std::array<int, 6> pos{};
+  for (int p = 0; p < 6; ++p)
+    pos[static_cast<std::size_t>(face_order[static_cast<std::size_t>(p)])] = p;
+  return pos;
+}
+
 }  // namespace
 
 cube_curve_spec spec_of(const cube_curve& curve) {
@@ -108,6 +115,7 @@ cube_curve_spec spec_of(const cube_curve& curve) {
   spec.face_order = curve.face_order;
   spec.orientation = curve.orientation;
   spec.closed = curve.closed;
+  spec.face_position = positions_of(curve.face_order);
   return spec;
 }
 
@@ -141,6 +149,7 @@ cube_curve_spec build_cube_curve_spec(const mesh::cubed_sphere& mesh,
   cube_curve_spec out;
   out.face_schedule = face_schedule;
   out.face_order = found.face_order;
+  out.face_position = positions_of(found.face_order);
   out.closed = closed;
   for (int pos = 0; pos < 6; ++pos) {
     out.orientation[static_cast<std::size_t>(
@@ -168,19 +177,16 @@ std::int64_t curve_position_of(const cube_curve_spec& spec,
   const mesh::element_ref ref = mesh.element_of(element);
   const auto face = static_cast<std::size_t>(ref.face);
   // The face's block offset in the visit order.
-  std::int64_t block = -1;
-  for (int pos = 0; pos < 6; ++pos)
-    if (spec.face_order[static_cast<std::size_t>(pos)] == ref.face) {
-      block = pos;
-      break;
-    }
-  SFP_ASSERT(block >= 0, "face missing from the stitched face order");
+  const int block = spec.face_position[face];
+  SFP_REQUIRE(block >= 0 && block < 6 &&
+                  spec.face_order[static_cast<std::size_t>(block)] == ref.face,
+              "spec.face_position is not the inverse of spec.face_order");
   // Undo the face's orientation, then point-query the base curve.
   const cell canonical = sfc::apply(sfc::inverse(spec.orientation[face]),
                                     cell{ref.i, ref.j}, ne);
   const std::int64_t within =
       sfc::curve_position(spec.face_schedule, canonical);
-  return block * static_cast<std::int64_t>(ne) * ne + within;
+  return static_cast<std::int64_t>(block) * ne * ne + within;
 }
 
 cube_curve build_cube_curve(const mesh::cubed_sphere& mesh,

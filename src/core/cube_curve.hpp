@@ -33,6 +33,9 @@ struct cube_curve_spec {
   std::array<int, 6> face_order{};          ///< faces in visit order
   std::array<sfc::dihedral, 6> orientation{};  ///< per face (indexed by face id)
   bool closed = false;  ///< last element is surface-adjacent to the first
+  /// Inverse of face_order: each face's position in the visit order
+  /// (indexed by face id).
+  std::array<int, 6> face_position{};
 };
 
 /// A continuous traversal of all K = 6·Ne² elements of the cubed-sphere.
@@ -59,8 +62,9 @@ cube_curve_spec build_cube_curve_spec(
 
 /// Position of one element along the curve `spec` describes (its SFC key):
 /// the face's block offset in the visit order plus the in-face point query
-/// through the face's inverse orientation. O(schedule depth) per element;
-/// agrees with the materialized curve:
+/// through the face's inverse orientation. One table lookup per schedule
+/// level (see sfc::curve_position_factors); agrees with the materialized
+/// curve:
 ///   curve_position_of(spec_of(c), mesh, c.order[i]) == i.
 std::int64_t curve_position_of(const cube_curve_spec& spec,
                                const mesh::cubed_sphere& mesh, int element);

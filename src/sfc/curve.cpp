@@ -1,6 +1,10 @@
 #include "sfc/curve.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <cstdlib>
+#include <mutex>
 
 #include "sfc/generator.hpp"
 #include "util/require.hpp"
@@ -8,6 +12,8 @@
 namespace sfp::sfc {
 
 namespace {
+
+constexpr int kMaxSide = 1 << 20;
 
 struct frame {
   // All in corner coordinates: the frame covers the square spanned from
@@ -17,62 +23,176 @@ struct frame {
   int bx, by;
 };
 
+/// Lower-left corner of the square a frame covers: the componentwise min of
+/// its two opposite corners O and O + A + B.
+cell lower_left(const frame& f) {
+  return {std::min(f.ox, f.ox + f.ax + f.bx),
+          std::min(f.oy, f.oy + f.ay + f.by)};
+}
+
+/// Calls visit(child) for each child frame of `f` under generator `fac`, in
+/// curve order. A child is given in units of the parent's sub-vectors
+/// a = A/fac, b = B/fac (A and B are always divisible: their length is the
+/// product of the remaining factors).
+template <typename Visit>
+void for_each_child(const frame& f, int fac, Visit&& visit) {
+  const int sax = f.ax / fac, say = f.ay / fac;
+  const int sbx = f.bx / fac, sby = f.by / fac;
+  for (const child_frame& cs : generator_for(fac))
+    visit(frame{f.ox + cs.oa * sax + cs.ob * sbx,
+                f.oy + cs.oa * say + cs.ob * sby,
+                cs.aa * sax + cs.ab * sbx, cs.aa * say + cs.ab * sby,
+                cs.ba * sax + cs.bb * sbx, cs.ba * say + cs.bb * sby});
+}
+
 void recurse(const std::vector<int>& factors, std::size_t depth,
              const frame& f, std::vector<cell>& out) {
   if (depth == factors.size()) {
-    // Leaf: |A| = |B| = 1; the covered unit cell's lower-left corner is the
-    // componentwise min of the frame's two opposite corners.
-    out.push_back({std::min(f.ox, f.ox + f.ax + f.bx),
-                   std::min(f.oy, f.oy + f.ay + f.by)});
+    out.push_back(lower_left(f));  // leaf: |A| = |B| = 1
     return;
   }
-  const int fac = factors[depth];
-  const std::vector<child_frame>& spec = generator_for(fac);
-  // Sub-vectors a = A/f, b = B/f (A and B are always divisible: their length
-  // is the product of the remaining factors).
-  const int sax = f.ax / fac, say = f.ay / fac;
-  const int sbx = f.bx / fac, sby = f.by / fac;
-  for (const child_frame& cs : spec) {
-    frame child;
-    child.ox = f.ox + cs.oa * sax + cs.ob * sbx;
-    child.oy = f.oy + cs.oa * say + cs.ob * sby;
-    child.ax = cs.aa * sax + cs.ab * sbx;
-    child.ay = cs.aa * say + cs.ab * sby;
-    child.bx = cs.ba * sax + cs.bb * sbx;
-    child.by = cs.ba * say + cs.bb * sby;
+  for_each_child(f, factors[depth], [&](const frame& child) {
     recurse(factors, depth + 1, child, out);
-  }
+  });
 }
 
-/// One descent step of the point query: find the child frame of `f` whose
-/// covered square contains `c`. `sub` is the child side (parent side / fac).
-/// Returns the child's index in generator order and replaces `f` with the
-/// child frame. The children tile the parent square, so the scan always
-/// finds exactly one match.
-int descend_into_child(int fac, int sub, frame& f, cell c) {
-  const std::vector<child_frame>& spec = generator_for(fac);
-  const int sax = f.ax / fac, say = f.ay / fac;
-  const int sbx = f.bx / fac, sby = f.by / fac;
-  for (std::size_t k = 0; k < spec.size(); ++k) {
-    const child_frame& cs = spec[k];
-    frame child;
-    child.ox = f.ox + cs.oa * sax + cs.ob * sbx;
-    child.oy = f.oy + cs.oa * say + cs.ob * sby;
-    child.ax = cs.aa * sax + cs.ab * sbx;
-    child.ay = cs.aa * say + cs.ab * sby;
-    child.bx = cs.ba * sax + cs.bb * sbx;
-    child.by = cs.ba * say + cs.bb * sby;
-    // Covered square: lower-left corner is the componentwise min of the
-    // frame's two opposite corners, side length |A| = sub.
-    const int minx = std::min(child.ox, child.ox + child.ax + child.bx);
-    const int miny = std::min(child.oy, child.oy + child.ay + child.by);
-    if (c.x >= minx && c.x < minx + sub && c.y >= miny && c.y < miny + sub) {
-      f = child;
-      return static_cast<int>(k);
-    }
+// ---- point query ------------------------------------------------------------
+//
+// A frame's orientation is the pair of unit directions of A and B: A points
+// along one of four axes and B is perpendicular to it on one of two sides,
+// so there are eight. Which child of a generator covers a given sub-cell,
+// and the child's orientation, depend only on the parent's orientation and
+// not on its position or size. One table per factor, 8·f² entries built
+// once from the generator, therefore turns each level of the point query
+// into two divisions (one per coordinate) and one lookup.
+
+/// Unit (A, B) of each orientation; 0 is the root frame's A = +x, B = +y.
+constexpr int kOrientations[8][4] = {
+    {1, 0, 0, 1}, {0, 1, -1, 0}, {-1, 0, 0, -1}, {0, -1, 1, 0},
+    {1, 0, 0, -1}, {0, 1, 1, 0}, {-1, 0, 0, 1}, {0, -1, -1, 0},
+};
+
+int orientation_of(const frame& f) {
+  const int len = std::abs(f.ax + f.ay);
+  for (int o = 0; o < 8; ++o) {
+    const int* u = kOrientations[o];
+    if (f.ax == u[0] * len && f.ay == u[1] * len && f.bx == u[2] * len &&
+        f.by == u[3] * len)
+      return o;
   }
-  SFP_REQUIRE(false, "generator children do not tile the block");
+  SFP_REQUIRE(false, "frame vectors are not perpendicular unit axes");
   return -1;
+}
+
+/// One table entry: the child covering a sub-cell and that child's
+/// orientation.
+struct descent_step {
+  std::int16_t child = -1;
+  std::int16_t orientation = 0;
+};
+
+/// Table for factor `fac`: entry 8·(dy·fac + dx) + o describes sub-cell
+/// (dx, dy) of a frame in orientation o, (0, 0) being the lower-left one.
+std::vector<descent_step> build_descent_table(int fac) {
+  SFP_REQUIRE(generator_for(fac).size() == static_cast<std::size_t>(fac * fac),
+              "generator must have f^2 children");
+  std::vector<descent_step> table(static_cast<std::size_t>(8 * fac * fac));
+  for (int o = 0; o < 8; ++o) {
+    const int* u = kOrientations[o];
+    const int ax = u[0] * fac, ay = u[1] * fac;
+    const int bx = u[2] * fac, by = u[3] * fac;
+    // Place the frame so that the square it covers starts at (0, 0).
+    const frame parent{-std::min(0, ax + bx), -std::min(0, ay + by),
+                       ax, ay, bx, by};
+    std::int16_t k = 0;
+    for_each_child(parent, fac, [&](const frame& child) {
+      const cell c = lower_left(child);
+      SFP_REQUIRE(c.x >= 0 && c.x < fac && c.y >= 0 && c.y < fac,
+                  "generator child outside its block");
+      descent_step& slot =
+          table[static_cast<std::size_t>(8 * (c.y * fac + c.x) + o)];
+      SFP_REQUIRE(slot.child < 0, "generator children do not tile the block");
+      slot = {k++, static_cast<std::int16_t>(orientation_of(child))};
+    });
+  }
+  return table;
+}
+
+constexpr int kMaxFactor = 16;  // derive_generator's search cap
+
+/// The memoized table for `fac`: built on first use, after which a lookup is
+/// one atomic load.
+const descent_step* descent_table_for(int fac) {
+  SFP_ASSERT(fac >= 2 && fac <= kMaxFactor, "factor checked by the caller");
+  static std::array<std::atomic<const descent_step*>, kMaxFactor + 1>
+      published{};
+  const auto i = static_cast<std::size_t>(fac);
+  if (const descent_step* table = published[i].load(std::memory_order_acquire))
+    return table;
+  static std::mutex mutex;
+  static std::array<std::vector<descent_step>, kMaxFactor + 1> tables;
+  const std::lock_guard<std::mutex> lock(mutex);
+  if (tables[i].empty()) {
+    tables[i] = build_descent_table(fac);
+    published[i].store(tables[i].data(), std::memory_order_release);
+  }
+  return tables[i].data();
+}
+
+/// Quotient and remainder of x / fac for 0 <= x < kMaxSide by one multiply:
+/// with m = ceil(2^32 / fac), x·m / 2^32 exceeds x / fac by less than
+/// x / 2^32 < 1 / fac, so its floor is the exact quotient.
+constexpr auto kReciprocals = [] {
+  std::array<std::uint64_t, kMaxFactor + 1> m{};
+  for (std::uint64_t f = 2; f <= kMaxFactor; ++f)
+    m[f] = ((std::uint64_t{1} << 32) + f - 1) / f;
+  return m;
+}();
+
+/// The point query behind both public forms; `factor(level)` gives the
+/// refinement factor of each level, outermost first.
+template <typename Levels, typename FactorOf>
+std::int64_t walk_descent_tables(const Levels& levels, FactorOf factor,
+                                 cell c) {
+  SFP_REQUIRE(c.x >= 0 && c.x < kMaxSide && c.y >= 0 && c.y < kMaxSide,
+              "cell out of range for this factor list");
+  struct level {
+    int fac;
+    int subcell;  // 8·(dy·fac + dx) for the sub-cell holding c
+  };
+  // Innermost level first, peel one base-fac digit off each coordinate.
+  // Every factor is >= 2 and the side is capped at 2^20, so at most 20 levels.
+  std::array<level, 20> path{};
+  std::size_t depth = 0;
+  std::int64_t side = 1;
+  auto x = static_cast<std::uint64_t>(c.x), y = static_cast<std::uint64_t>(c.y);
+  for (auto it = levels.rbegin(); it != levels.rend(); ++it) {
+    const int fac = factor(*it);
+    SFP_REQUIRE(fac >= 2, "refinement factors must be at least 2");
+    side *= fac;
+    SFP_REQUIRE(side <= kMaxSide, "curve side too large");
+    SFP_REQUIRE(fac <= kMaxFactor,
+                "no space-filling-curve generator exists for this factor");
+    const std::uint64_t m = kReciprocals[static_cast<std::size_t>(fac)];
+    const std::uint64_t qx = (x * m) >> 32, qy = (y * m) >> 32;  // lint: overflow-arith-ok — x, y < 2^20 and m <= 2^31, so both stay below 2^51
+    const auto f = static_cast<std::uint64_t>(fac);
+    const auto subcell = static_cast<int>(8 * ((y - qy * f) * f + x - qx * f));
+    path[depth++] = {fac, subcell};
+    x = qx;
+    y = qy;
+  }
+  SFP_REQUIRE(x == 0 && y == 0, "cell out of range for this factor list");
+  // Outermost level first, one table load per level.
+  std::int64_t pos = 0;
+  int orientation = 0;
+  while (depth-- > 0) {
+    const level& l = path[depth];
+    const descent_step step =
+        descent_table_for(l.fac)[l.subcell + orientation];
+    pos = pos * (static_cast<std::int64_t>(l.fac) * l.fac) + step.child;
+    orientation = step.orientation;
+  }
+  return pos;
 }
 
 /// Factor `side` over the given prime set (largest first), or empty if it
@@ -174,7 +294,7 @@ std::vector<cell> generate_factors(const std::vector<int>& factors) {
   int side = 1;
   for (const int f : factors) {
     SFP_REQUIRE(f >= 2, "refinement factors must be at least 2");
-    SFP_REQUIRE(side <= (1 << 20) / f, "curve side too large");
+    SFP_REQUIRE(side <= kMaxSide / f, "curve side too large");
     side *= f;
   }
   SFP_REQUIRE(side >= 1, "factor list must produce a positive side");
@@ -208,30 +328,12 @@ std::vector<cell> hilbert_peano_curve(int side, nesting_order order) {
 }
 
 std::int64_t curve_position_factors(const std::vector<int>& factors, cell c) {
-  int side = 1;
-  for (const int f : factors) {
-    SFP_REQUIRE(f >= 2, "refinement factors must be at least 2");
-    SFP_REQUIRE(side <= (1 << 20) / f, "curve side too large");
-    side *= f;
-  }
-  SFP_REQUIRE(c.x >= 0 && c.x < side && c.y >= 0 && c.y < side,
-              "cell out of range for this factor list");
-  frame f{0, 0, side, 0, 0, side};
-  std::int64_t pos = 0;
-  int sub = side;
-  for (const int fac : factors) {
-    sub /= fac;
-    const int child = descend_into_child(fac, sub, f, c);
-    pos = pos * (static_cast<std::int64_t>(fac) * fac) + child;
-  }
-  return pos;
+  return walk_descent_tables(factors, [](int f) { return f; }, c);
 }
 
 std::int64_t curve_position(const schedule& s, cell c) {
-  std::vector<int> factors;
-  factors.reserve(s.size());
-  for (const refinement r : s) factors.push_back(factor_of(r));
-  return curve_position_factors(factors, c);
+  return walk_descent_tables(
+      s, [](refinement r) { return factor_of(r); }, c);
 }
 
 std::vector<std::int64_t> curve_index(const std::vector<cell>& curve, int side) {

@@ -98,8 +98,11 @@ std::vector<cell> hilbert_peano_curve(int side,
 std::vector<std::int64_t> curve_index(const std::vector<cell>& curve, int side);
 
 /// Point query: the position of one cell along the curve a factor list
-/// generates, by descending the generator frames digit-by-digit — O(Σf²)
-/// time, O(1) memory, no curve materialized. Agrees with generate():
+/// generates, one base-f digit per level — O(depth) time, O(1) memory, no
+/// curve materialized. Each level is one lookup in a per-factor table
+/// mapping (frame orientation, sub-cell) to (child index, child
+/// orientation); a factor's table (8·f² entries) is built from its
+/// generator on first use and shared by all threads. Agrees with generate():
 ///   curve_position_factors(f, generate_factors(f)[i]) == i  for every i.
 /// This is what lets a distributed partitioner rank compute SFC keys for
 /// just its own elements instead of holding the full P×P traversal.

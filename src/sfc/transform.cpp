@@ -4,6 +4,28 @@
 
 namespace sfp::sfc {
 
+namespace {
+
+/// Group tables, indexed by the enumerator values. kCompose[second][first]
+/// is the element acting like `first` followed by `second`; the tests
+/// re-derive both tables by probing apply() on a 3×3 grid.
+constexpr std::uint8_t kCompose[8][8] = {
+    {0, 1, 2, 3, 4, 5, 6, 7}, {1, 2, 3, 0, 7, 6, 4, 5},
+    {2, 3, 0, 1, 5, 4, 7, 6}, {3, 0, 1, 2, 6, 7, 5, 4},
+    {4, 6, 5, 7, 0, 2, 1, 3}, {5, 7, 4, 6, 2, 0, 3, 1},
+    {6, 5, 7, 4, 3, 1, 0, 2}, {7, 4, 6, 5, 1, 3, 2, 0},
+};
+/// rot90 and rot270 undo each other; every other element is an involution.
+constexpr std::uint8_t kInverse[8] = {0, 3, 2, 1, 4, 5, 6, 7};
+
+std::size_t index_of(dihedral t) {
+  const auto i = static_cast<std::size_t>(t);
+  SFP_REQUIRE(i < all_dihedrals.size(), "invalid dihedral");
+  return i;
+}
+
+}  // namespace
+
 cell apply(dihedral t, cell c, int side) {
   SFP_REQUIRE(side >= 1, "side must be positive");
   SFP_REQUIRE(c.x >= 0 && c.x < side && c.y >= 0 && c.y < side,
@@ -35,26 +57,11 @@ std::vector<cell> apply(dihedral t, const std::vector<cell>& curve, int side) {
 }
 
 dihedral compose(dihedral second, dihedral first) {
-  // Small group: compute by acting on a 3×3 grid and matching the result.
-  // (Closed-form tables are easy to get wrong; this is exact and O(1).)
-  constexpr int kProbe = 3;
-  const cell p0{1, 0}, p1{0, 1};  // images of two independent probes pin down
-                                  // the symmetry uniquely
-  const cell i0 = apply(second, apply(first, p0, kProbe), kProbe);
-  const cell i1 = apply(second, apply(first, p1, kProbe), kProbe);
-  for (const dihedral t : all_dihedrals) {
-    if (apply(t, p0, kProbe) == i0 && apply(t, p1, kProbe) == i1) return t;
-  }
-  SFP_REQUIRE(false, "dihedral composition not found (group closure violated)");
-  return dihedral::identity;
+  return static_cast<dihedral>(kCompose[index_of(second)][index_of(first)]);
 }
 
 dihedral inverse(dihedral t) {
-  for (const dihedral u : all_dihedrals) {
-    if (compose(u, t) == dihedral::identity) return u;
-  }
-  SFP_REQUIRE(false, "dihedral inverse not found");
-  return dihedral::identity;
+  return static_cast<dihedral>(kInverse[index_of(t)]);
 }
 
 std::string_view dihedral_name(dihedral t) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -22,7 +23,14 @@ namespace fs = std::filesystem;
 class BenchGuard : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir = fs::temp_directory_path() / "bench_guard_test";
+    // One directory per test and per process: ctest -j runs each test in
+    // its own process, and a shared directory would let one test's
+    // remove_all delete another's files mid-run.
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    dir = fs::temp_directory_path() /
+          ("bench_guard_test_" + std::string(info->name()) + "_" +
+           std::to_string(::getpid()));
     fs::remove_all(dir);
     fs::create_directories(dir);
   }

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
 
@@ -59,6 +60,20 @@ TEST_P(CubeCurveProperty, CurveIsClosed) {
   }
 }
 
+/// The materialized order is the oracle for the spec's point query.
+void expect_keys_match_order(const mesh::cubed_sphere& m, const cube_curve& c) {
+  const cube_curve_spec spec = spec_of(c);
+  for (std::size_t i = 0; i < c.order.size(); ++i)
+    ASSERT_EQ(curve_position_of(spec, m, c.order[i]),
+              static_cast<std::int64_t>(i))
+        << "Ne=" << m.ne() << " element " << c.order[i];
+}
+
+TEST_P(CubeCurveProperty, PointQueryMatchesMaterializedOrder) {
+  const mesh::cubed_sphere m(GetParam());
+  expect_keys_match_order(m, build_cube_curve(m));
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, CubeCurveProperty,
                          ::testing::Values(1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 24),
                          ::testing::PrintToStringParamName());
@@ -72,6 +87,40 @@ TEST(CubeCurve, AllNestingOrdersStitch) {
     std::string error;
     EXPECT_TRUE(verify_cube_curve(m, c.order, &error)) << error;
   }
+}
+
+TEST(CubeCurve, PointQueryMatchesEveryNestingOrderAndCincoSide) {
+  const mesh::cubed_sphere m12(12);
+  for (const auto order :
+       {sfc::nesting_order::peano_first, sfc::nesting_order::hilbert_first,
+        sfc::nesting_order::interleaved})
+    expect_keys_match_order(m12, build_cube_curve(m12, order));
+  for (const int ne : {5, 10, 15, 20}) {
+    const mesh::cubed_sphere m(ne);
+    expect_keys_match_order(m, build_cube_curve_extended(m));
+  }
+}
+
+TEST(CubeCurve, SpecSearchAgreesWithBuiltCurve) {
+  const mesh::cubed_sphere m(18);
+  const cube_curve_spec searched = build_cube_curve_spec(m);
+  const cube_curve_spec built = spec_of(build_cube_curve(m));
+  EXPECT_EQ(searched.face_order, built.face_order);
+  EXPECT_EQ(searched.orientation, built.orientation);
+  EXPECT_EQ(searched.face_position, built.face_position);
+  for (int pos = 0; pos < 6; ++pos)
+    EXPECT_EQ(searched.face_position[static_cast<std::size_t>(
+                  searched.face_order[static_cast<std::size_t>(pos)])],
+              pos);
+}
+
+TEST(CubeCurve, PointQueryRejectsSpecWithoutFacePositions) {
+  const mesh::cubed_sphere m(4);
+  cube_curve_spec spec = build_cube_curve_spec(m);
+  spec.face_position = {};  // as if face_order were set by hand alone
+  const int second_face_element = m.element_id(spec.face_order[1], 0, 0);
+  EXPECT_THROW(curve_position_of(spec, m, second_face_element),
+               contract_error);
 }
 
 TEST(CubeCurve, ExplicitScheduleMustMatchNe) {

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/cube_curve.hpp"
@@ -122,6 +123,28 @@ TEST(ParallelPartitionParity, MoreRanksThanElements) {
                           "Ne=1 nparts=" + std::to_string(nparts) +
                               " ranks=7");
   }
+}
+
+TEST(ParallelPartitionParity, ConcurrentFirstKeysMatchTheCurve) {
+  // Ranks compute keys from their own threads, so the point query's lazily
+  // built per-factor tables are first touched concurrently. Ne = 30 uses
+  // factors 5, 3 and 2; every thread must still see the serial keys.
+  const mesh::cubed_sphere mesh(30);
+  const core::cube_curve curve = core::build_cube_curve_extended(mesh);
+  const core::cube_curve_spec spec = core::spec_of(curve);
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::int64_t>> keys(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (const int e : curve.order)
+        keys[static_cast<std::size_t>(t)].push_back(
+            core::curve_position_of(spec, mesh, e));
+    });
+  for (std::thread& th : threads) th.join();
+  std::vector<std::int64_t> expected(curve.order.size());
+  std::iota(expected.begin(), expected.end(), 0);
+  for (const auto& k : keys) EXPECT_EQ(k, expected);
 }
 
 TEST(ParallelPartitionParity, StatsAccountForEveryElement) {

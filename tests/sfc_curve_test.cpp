@@ -3,10 +3,13 @@
 // The central invariants — full coverage, 4-adjacency of consecutive cells,
 // entry at (0,0) and exit at (P-1,0) — are exercised over every SFC-
 // compatible side up to 108 and every nesting order, which covers pure
-// Hilbert, pure m-Peano, and all mixed Hilbert-Peano schedules.
+// Hilbert, pure m-Peano, and all mixed Hilbert-Peano schedules. The point
+// query (curve_position) is checked cell for cell against the generated
+// curves, which serve as its oracle.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <tuple>
 
@@ -140,6 +143,17 @@ TEST_P(CurveProperty, IndexIsInverse) {
   }
 }
 
+TEST_P(CurveProperty, PointQueryMatchesGenerator) {
+  // The materialized curve is the oracle for the table-driven point query.
+  const auto [side, order] = GetParam();
+  const schedule s = *schedule_for(side, order);
+  const auto curve = generate(s);
+  for (std::size_t i = 0; i < curve.size(); ++i)
+    ASSERT_EQ(curve_position(s, curve[i]), static_cast<std::int64_t>(i))
+        << "side " << side << " cell (" << curve[i].x << ',' << curve[i].y
+        << ')';
+}
+
 std::vector<int> sfc_sides_up_to(int limit) {
   std::vector<int> sides;
   for (int p = 2; p <= limit; ++p)
@@ -161,6 +175,85 @@ INSTANTIATE_TEST_SUITE_P(
                                          nesting_order::hilbert_first,
                                          nesting_order::interleaved)),
     curve_param_name);
+
+// Point query on raw factor lists: pure 2, 3 and 5, the synthesized 7,
+// self-nestings of every synthesized factor, and mixed lists in both orders.
+TEST(PointQuery, MatchesGeneratorOnEveryFactorList) {
+  const std::vector<std::vector<int>> lists = {
+      {2},       {2, 2, 2, 2}, {3},       {3, 3, 3}, {5},       {5, 5},
+      {7},       {7, 7},       {4},       {6},       {8},       {9},
+      {10},      {11},         {4, 4},    {6, 6},    {5, 2},    {2, 5},
+      {5, 3},    {5, 2, 2},    {5, 3, 2}, {3, 5, 2}, {7, 2},    {2, 7},
+      {7, 3, 2}, {2, 3, 2, 3}, {3, 2, 5}, {11, 2},
+  };
+  for (const auto& factors : lists) {
+    const auto curve = generate_factors(factors);
+    for (std::size_t i = 0; i < curve.size(); ++i)
+      ASSERT_EQ(curve_position_factors(factors, curve[i]),
+                static_cast<std::int64_t>(i))
+          << "factor list of size " << factors.size() << " starting with "
+          << factors.front() << ", cell (" << curve[i].x << ',' << curve[i].y
+          << ')';
+  }
+}
+
+TEST(PointQuery, MatchesGeneratorOnExtendedSchedules) {
+  for (const int side : {5, 10, 15, 20, 25, 30, 45, 60, 90}) {
+    const schedule s = *extended_schedule_for(side);
+    const auto curve = generate(s);
+    for (std::size_t i = 0; i < curve.size(); ++i)
+      ASSERT_EQ(curve_position(s, curve[i]), static_cast<std::int64_t>(i))
+          << "side " << side;
+  }
+}
+
+TEST(PointQuery, NestsAcrossLevelsUpToTheLargestSide) {
+  // Far beyond what a materialized oracle can cover: every curve enters at
+  // (0,0) and exits at (side-1, 0), and dropping the innermost level maps a
+  // cell's position to the position of its parent cell on the coarser curve.
+  const std::vector<std::vector<int>> lists = {
+      std::vector<int>(20, 2),  // side 2^20, the cap
+      std::vector<int>(12, 3),
+      std::vector<int>(8, 5),
+      std::vector<int>(7, 7),
+      {5, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2},
+  };
+  std::uint64_t state = 12345;
+  const auto next = [&state](int bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<int>((state >> 33) % static_cast<std::uint64_t>(bound));
+  };
+  for (const auto& factors : lists) {
+    std::int64_t side = 1;
+    for (const int f : factors) side *= f;
+    const auto s = static_cast<int>(side);
+    EXPECT_EQ(curve_position_factors(factors, {0, 0}), 0);
+    EXPECT_EQ(curve_position_factors(factors, {s - 1, 0}), side * side - 1);
+    const int inner = factors.back();
+    const std::vector<int> coarse(factors.begin(), factors.end() - 1);
+    for (int trial = 0; trial < 500; ++trial) {
+      const cell c = trial == 0 ? cell{s - 1, s - 1} : cell{next(s), next(s)};
+      EXPECT_EQ(curve_position_factors(factors, c) / (inner * inner),
+                curve_position_factors(coarse, {c.x / inner, c.y / inner}))
+          << "side " << side << " cell (" << c.x << ',' << c.y << ')';
+    }
+  }
+}
+
+TEST(PointQuery, EmptyScheduleIsTheSingleCell) {
+  EXPECT_EQ(curve_position(schedule{}, cell{0, 0}), 0);
+  EXPECT_EQ(curve_position_factors({}, cell{0, 0}), 0);
+}
+
+TEST(PointQuery, RejectsBadInputs) {
+  const schedule s = *schedule_for(6);
+  EXPECT_THROW(curve_position(s, cell{6, 0}), sfp::contract_error);
+  EXPECT_THROW(curve_position(s, cell{0, -1}), sfp::contract_error);
+  EXPECT_THROW(curve_position_factors({1, 2}, cell{0, 0}), sfp::contract_error);
+  EXPECT_THROW(curve_position_factors({17}, cell{0, 0}), sfp::contract_error);
+  EXPECT_THROW(curve_position_factors(std::vector<int>(21, 2), cell{0, 0}),
+               sfp::contract_error);
+}
 
 TEST(Curve, LocalityBeatsRowMajor) {
   // A qualitative SFC property the partitioner relies on: contiguous curve

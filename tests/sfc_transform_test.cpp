@@ -67,6 +67,43 @@ TEST(Dihedral, InverseUndoes) {
   }
 }
 
+// Oracle for the constant group tables: identify a composition by the
+// images of two independent probe cells on a 3×3 grid, and an inverse by
+// searching for the element that composes with t to the identity.
+dihedral probe_compose(dihedral second, dihedral first) {
+  constexpr int kProbe = 3;
+  const cell p0{1, 0}, p1{0, 1};
+  const cell i0 = apply(second, apply(first, p0, kProbe), kProbe);
+  const cell i1 = apply(second, apply(first, p1, kProbe), kProbe);
+  for (const dihedral t : all_dihedrals)
+    if (apply(t, p0, kProbe) == i0 && apply(t, p1, kProbe) == i1) return t;
+  ADD_FAILURE() << "no element matches the probe images";
+  return dihedral::identity;
+}
+
+dihedral probe_inverse(dihedral t) {
+  for (const dihedral u : all_dihedrals)
+    if (probe_compose(u, t) == dihedral::identity) return u;
+  ADD_FAILURE() << "no inverse for " << dihedral_name(t);
+  return dihedral::identity;
+}
+
+TEST(Dihedral, TablesMatchProbingOracle) {
+  for (const dihedral a : all_dihedrals) {
+    EXPECT_EQ(inverse(a), probe_inverse(a)) << dihedral_name(a);
+    for (const dihedral b : all_dihedrals)
+      EXPECT_EQ(compose(a, b), probe_compose(a, b))
+          << dihedral_name(a) << " after " << dihedral_name(b);
+  }
+}
+
+TEST(Dihedral, GroupOpsRejectInvalidElements) {
+  const auto bad = static_cast<dihedral>(8);
+  EXPECT_THROW(inverse(bad), sfp::contract_error);
+  EXPECT_THROW(compose(bad, dihedral::identity), sfp::contract_error);
+  EXPECT_THROW(compose(dihedral::identity, bad), sfp::contract_error);
+}
+
 TEST(Dihedral, GroupClosureAndIdentity) {
   for (const dihedral a : all_dihedrals) {
     EXPECT_EQ(compose(a, dihedral::identity), a);
