@@ -227,20 +227,22 @@ parallel_partition_report run_parallel_partition(
   }
 
   std::vector<rank_outcome> outcomes(static_cast<std::size_t>(num_ranks));
+  // One rank body for both backends; each branch below only builds its
+  // fabric and collects its counters.
+  const auto rank_main = [&](transport& t) {
+    reliable_channel channel(t, opts.reliable);
+    const auto self = static_cast<std::size_t>(t.rank());
+    partition_rank_main(channel, t.rank(), num_ranks, mesh, spec, nparts,
+                        weights, opts, &report.rank_stats[self],
+                        &outcomes[self]);
+  };
 
   if (opts.backend == transport_backend::inproc) {
     world::options wopts;
     wopts.timeout = opts.timeout;
     wopts.faults = opts.faults;
     world w(num_ranks, wopts);
-    w.run([&](communicator& comm) {
-      reliable_channel channel(comm, opts.reliable);
-      partition_rank_main(channel, comm.rank(), num_ranks, mesh, spec,
-                          nparts, weights, opts,
-                          &report.rank_stats[static_cast<std::size_t>(
-                              comm.rank())],
-                          &outcomes[static_cast<std::size_t>(comm.rank())]);
-    });
+    w.run(rank_main);
     report.counters = w.total_counters();
   } else {
     socket_fabric_options sopts;
@@ -250,14 +252,7 @@ parallel_partition_report run_parallel_partition(
     // acks are smaller than one envelope payload.
     sopts.stream_fault_min_payload = wire::header_doubles + 1;
     socket_fabric fab(num_ranks, sopts);
-    fab.run([&](transport& t) {
-      reliable_channel channel(t, opts.reliable);
-      partition_rank_main(channel, t.rank(), num_ranks, mesh, spec, nparts,
-                          weights, opts,
-                          &report.rank_stats[static_cast<std::size_t>(
-                              t.rank())],
-                          &outcomes[static_cast<std::size_t>(t.rank())]);
-    });
+    fab.run(rank_main);
     report.counters = fab.total_counters();
     report.socket = fab.total_stats();
   }

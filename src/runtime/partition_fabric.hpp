@@ -60,7 +60,11 @@ struct parallel_partition_run_options {
   stream_fault_plan stream_faults;
   /// Reliable-layer tuning (retransmit budget, timeouts, epoch).
   reliable_options reliable;
-  /// Per blocking-call deadline for the in-process world; zero = forever.
+  /// Deadline for the in-process world's raw blocking calls (recv, barrier,
+  /// allreduce); zero = forever. The partition pipeline makes none of
+  /// those — all its traffic is reliable-channel pumping — so this bounds
+  /// nothing there. Rank-death detection runs on reliable.recv_timeout
+  /// times the regroup patience budget (regroup.patience_rounds) instead.
   std::chrono::milliseconds timeout{2000};
   /// Splitter-search tuning, passed through to the core algorithm.
   core::parallel_partition_options partition;

@@ -173,16 +173,6 @@ reliable_channel::reliable_channel(transport& fabric, reliable_options opts)
               "retransmit timeout must be positive");
 }
 
-reliable_channel::reliable_channel(communicator& comm, reliable_options opts)
-    : owned_inproc_(std::in_place, comm),
-      fabric_(&*owned_inproc_),
-      opts_(opts),
-      jitter_rng_(jitter_seed(opts, fabric_->rank())) {
-  SFP_REQUIRE(opts_.max_retransmits >= 1, "need at least one retransmit");
-  SFP_REQUIRE(opts_.retransmit_timeout.count() > 0,
-              "retransmit timeout must be positive");
-}
-
 reliable_channel::~reliable_channel() {
   // Two-generals tail: our sends may be delivered-but-unacked (the ack was
   // lost and the peer has exited). Pump for a bounded linger to service any

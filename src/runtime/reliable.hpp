@@ -6,8 +6,8 @@
 // duplicated, bit-flipped, truncated, or reordered — and the only defence
 // raw users have is the per-call timeout, which escalates a lost packet all
 // the way to a plan_recovery re-slice. reliable_channel heals those
-// transient faults in place, identically over the in-process world adapter
-// and the socket backend (runtime/socket_transport.hpp):
+// transient faults in place, identically over the in-process world
+// communicator and the socket backend (runtime/socket_transport.hpp):
 //
 //   * every payload travels in an envelope carrying a magic/type word, an
 //     epoch id, the logical tag, a per-(sender,receiver,tag) sequence
@@ -44,7 +44,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <tuple>
@@ -179,12 +178,10 @@ struct reliable_stats {
 /// transport backend underneath.
 class reliable_channel {
  public:
-  /// Over any backend: the caller keeps ownership of the transport, which
-  /// must outlive the channel.
+  /// Over any backend — a world communicator or a socket transport. The
+  /// caller keeps ownership of the transport, which must outlive the
+  /// channel.
   explicit reliable_channel(transport& fabric, reliable_options opts = {});
-  /// Convenience for the in-process fabric: wraps `comm` in an owned
-  /// inproc_transport adapter.
-  explicit reliable_channel(communicator& comm, reliable_options opts = {});
   ~reliable_channel();
   reliable_channel(const reliable_channel&) = delete;
   reliable_channel& operator=(const reliable_channel&) = delete;
@@ -250,7 +247,6 @@ class reliable_channel {
   std::uint64_t& seq_slot(std::map<stream_key, std::uint64_t>& m,
                           const stream_key& key);
 
-  std::optional<inproc_transport> owned_inproc_;  ///< communicator-ctor only
   transport* fabric_;
   reliable_options opts_;
   reliable_stats stats_;

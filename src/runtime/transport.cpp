@@ -4,7 +4,6 @@
 #include <sstream>
 #include <thread>
 
-#include "runtime/world.hpp"
 #include "util/require.hpp"
 
 namespace sfp::runtime {
@@ -64,19 +63,6 @@ const char* to_string(transport_backend backend) {
 }
 
 transport::~transport() = default;
-
-int inproc_transport::rank() const { return comm_->rank(); }
-
-int inproc_transport::size() const { return comm_->size(); }
-
-void inproc_transport::send(int dst, int tag, std::span<const double> data) {
-  comm_->send(dst, tag, data);
-}
-
-bool inproc_transport::try_recv_any(int tag, std::chrono::microseconds wait,
-                                    any_message* out) {
-  return comm_->try_recv_any(tag, wait, out);
-}
 
 injection_pipeline::injection_pipeline(const fault_plan& plan, int rank,
                                        rank_counters* counters)

@@ -12,8 +12,8 @@
 // what makes the backends interchangeable under one chaos contract.
 //
 // Backends:
-//   - inproc_transport (this header): a thin adapter over a world
-//     communicator — today's thread-backed mailbox fabric, verbatim.
+//   - communicator (world.hpp): the thread-backed in-process mailbox
+//     fabric, which implements this interface directly.
 //   - socket_transport.hpp: loopback TCP with framing, heartbeats, and a
 //     reconnect-with-epoch handshake.
 //
@@ -118,25 +118,6 @@ class transport {
 
  protected:
   transport() = default;
-};
-
-class communicator;  // runtime/world.hpp
-
-/// The in-process backend: a thin, behavior-preserving adapter over a world
-/// communicator. Holds no state of its own — counters, faults, and delivery
-/// all stay exactly where they were before the transport carve.
-class inproc_transport final : public transport {
- public:
-  explicit inproc_transport(communicator& comm) : comm_(&comm) {}
-
-  int rank() const override;
-  int size() const override;
-  void send(int dst, int tag, std::span<const double> data) override;
-  bool try_recv_any(int tag, std::chrono::microseconds wait,
-                    any_message* out) override;
-
- private:
-  communicator* comm_;
 };
 
 /// One rank's message-level fault machinery, extracted from the in-process

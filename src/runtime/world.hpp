@@ -40,14 +40,16 @@ namespace sfp::runtime {
 
 class world;
 
-/// Per-rank communication handle, valid only inside world::run.
-class communicator {
+/// Per-rank communication handle, valid only inside world::run. It is the
+/// in-process transport backend itself: the reliable layer and every other
+/// transport& consumer drive the mailboxes through it directly.
+class communicator final : public transport {
  public:
-  int rank() const { return rank_; }
-  int size() const;
+  int rank() const override { return rank_; }
+  int size() const override;
 
   /// Asynchronously deliver `data` to `dst`'s mailbox under `tag`.
-  void send(int dst, int tag, std::span<const double> data);
+  void send(int dst, int tag, std::span<const double> data) override;
 
   /// Block until a message from (src, tag) arrives; returns its payload.
   std::vector<double> recv(int src, int tag);
@@ -58,7 +60,8 @@ class communicator {
   /// communication op (no fault-injection op count, no timeout counter) —
   /// deadline policy belongs to the caller pumping it. Aborts still wake it
   /// with world_aborted.
-  bool try_recv_any(int tag, std::chrono::microseconds wait, any_message* out);
+  bool try_recv_any(int tag, std::chrono::microseconds wait,
+                    any_message* out) override;
 
   /// Collective: all ranks must call; returns when everyone arrived.
   void barrier();

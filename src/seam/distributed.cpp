@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <exception>
+#include <initializer_list>
 #include <mutex>
-#include <optional>
 
 #include "core/escalation.hpp"
 #include "obs/trace.hpp"
@@ -21,28 +21,118 @@ namespace {
 struct stats_collector {
   std::mutex mutex;
   dist_stats total;
-
-  void add(double compute_s, double exchange_s, std::int64_t messages,
-           std::int64_t doubles_sent) {
-    std::lock_guard<std::mutex> lock(mutex);
-    total.compute_seconds += compute_s;
-    total.exchange_seconds += exchange_s;
-    total.messages += messages;
-    total.doubles_sent += doubles_sent;
-    total.max_rank_seconds =
-        std::max(total.max_rank_seconds, compute_s + exchange_s);
-  }
 };
 
+/// One rank's cost accounting, shared by every runner: the stopwatch, the
+/// compute/exchange split, the wire counts, the DSS tag sequence (identical
+/// on every rank, which all run the same exchange schedule) and the
+/// seam.compute / seam.exchange spans.
+class rank_meter {
+ public:
+  explicit rank_meter(halo_exchanger& halo) : halo_(&halo) {}
+
+  /// Run `kernel` (the owned-element compute) as one seam.compute span.
+  template <typename Kernel>
+  void compute(Kernel&& kernel) {
+    SFP_TRACE_SCOPE_CAT("seam.compute", "seam");
+    clock_.reset();
+    kernel();
+    compute_s_ += clock_.seconds();
+  }
+
+  /// DSS-average `fields` in order, each under the next tag, as one
+  /// seam.exchange span; `prepare` runs first inside the same span.
+  template <typename Prepare>
+  void exchange(std::initializer_list<std::vector<double>*> fields,
+                Prepare&& prepare) {
+    SFP_TRACE_SCOPE_CAT("seam.exchange", "seam");
+    clock_.reset();
+    prepare();
+    for (std::vector<double>* f : fields) {
+      const auto [msgs, sent] = halo_->dss_average(*f, next_tag_++);
+      messages_ += msgs;
+      doubles_sent_ += sent;
+    }
+    exchange_s_ += clock_.seconds();
+  }
+  void exchange(std::vector<double>& field) { exchange({&field}, [] {}); }
+
+  /// Add this rank's totals to the cross-rank collector.
+  void report(stats_collector& collector) const {
+    std::lock_guard<std::mutex> lock(collector.mutex);
+    dist_stats& total = collector.total;
+    total.compute_seconds += compute_s_;
+    total.exchange_seconds += exchange_s_;
+    total.messages += messages_;
+    total.doubles_sent += doubles_sent_;
+    total.max_rank_seconds =
+        std::max(total.max_rank_seconds, compute_s_ + exchange_s_);
+  }
+
+ private:
+  halo_exchanger* halo_;
+  sfp::stopwatch clock_;
+  double compute_s_ = 0, exchange_s_ = 0;
+  std::int64_t messages_ = 0, doubles_sent_ = 0;
+  int next_tag_ = 0;
+};
+
+/// SSP-RK3 stage scratch for one advected field.
+struct rk3_scratch {
+  explicit rk3_scratch(std::size_t n) : rhs(n, 0.0), s1(n, 0.0), s2(n, 0.0) {}
+  std::vector<double> rhs, s1, s2;
+};
+
+/// Advance `q` one SSP-RK3 step of size `dt` on the rank's owned elements,
+/// closing every stage with one DSS. The only copy of the stage loop: the
+/// plain, resilient and layered runners all step through it (a layer passes
+/// its scaled step dt * omega).
+void advect_step(const advection_model& model, const rank_exchange_plan& rp,
+                 rank_meter& meter, double dt, std::vector<double>& q,
+                 rk3_scratch& s) {
+  const auto tendency = [&](const std::vector<double>& src) {
+    meter.compute([&] {
+      for (const int e : rp.owned) model.tendency_element(src, s.rhs, e);
+    });
+  };
+  tendency(q);
+  for (const std::size_t n : rp.owned_nodes) s.s1[n] = q[n] + dt * s.rhs[n];
+  meter.exchange(s.s1);
+
+  tendency(s.s1);
+  for (const std::size_t n : rp.owned_nodes)
+    s.s2[n] = 0.75 * q[n] + 0.25 * (s.s1[n] + dt * s.rhs[n]);
+  meter.exchange(s.s2);
+
+  tendency(s.s2);
+  for (const std::size_t n : rp.owned_nodes)
+    q[n] = q[n] / 3.0 + (2.0 / 3.0) * (s.s2[n] + dt * s.rhs[n]);
+  meter.exchange(q);
+}
+
 /// The one place the plain (non-resilient) runners construct the in-process
-/// fabric: builds the world, runs `rank_main` on every rank, then hands the
-/// world to `after` so callers can harvest per-rank counters.
-template <typename RankMain, typename After>
-void run_on_world(int nranks, const runtime::world::options& wopts,
-                  RankMain&& rank_main, After&& after) {
+/// fabric: runs `body(rank plan, meter)` on every rank over a raw halo
+/// exchanger, then fills `stats` (when non-null) with the ranks' totals and
+/// the world's per-rank counters.
+template <typename RankBody>
+void run_on_world(const exchange_plan& plan,
+                  const runtime::world::options& wopts, dist_stats* stats,
+                  RankBody&& body) {
+  const int nranks = static_cast<int>(plan.ranks.size());
+  stats_collector collector;
   runtime::world w(nranks, wopts);  // lint: transport-discipline-ok — run_on_world is the plain runners' single fabric construction site
-  w.run(rank_main);
-  after(w);
+  w.run([&](runtime::communicator& comm) {
+    const rank_exchange_plan& rp =
+        plan.ranks[static_cast<std::size_t>(comm.rank())];
+    halo_exchanger halo(rp, comm);
+    rank_meter meter(halo);
+    body(rp, meter);
+    meter.report(collector);
+  });
+  if (!stats) return;
+  *stats = std::move(collector.total);
+  stats->per_rank.reserve(static_cast<std::size_t>(nranks));
+  for (int p = 0; p < nranks; ++p) stats->per_rank.push_back(w.counters(p));
 }
 
 }  // namespace
@@ -57,63 +147,17 @@ std::vector<double> run_distributed(const advection_model& model,
   const std::size_t nfield = model.field().size();
 
   std::vector<double> result(nfield, 0.0);
-  stats_collector collector;
-
-  const auto rank_main = [&](runtime::communicator& comm) {
-    const rank_exchange_plan& rp =
-        plan.ranks[static_cast<std::size_t>(comm.rank())];
-    halo_exchanger halo(rp, comm);
-    sfp::stopwatch clock;
-    double compute_s = 0, exchange_s = 0;
-    std::int64_t messages = 0, doubles_sent = 0;
-
-    std::vector<double> q(model.field().begin(), model.field().end());
-    std::vector<double> rhs(nfield, 0.0), s1(nfield, 0.0), s2(nfield, 0.0);
-
-    int tag_counter = 0;
-    const auto dss = [&](std::vector<double>& f) {
-      SFP_TRACE_SCOPE_CAT("seam.exchange", "seam");
-      clock.reset();
-      const auto [msgs, sent] = halo.dss_average(f, tag_counter++);
-      messages += msgs;
-      doubles_sent += sent;
-      exchange_s += clock.seconds();
-    };
-    const auto local_tendency = [&](const std::vector<double>& src,
-                                    std::vector<double>& dst) {
-      SFP_TRACE_SCOPE_CAT("seam.compute", "seam");
-      clock.reset();
-      for (const int e : rp.owned) model.tendency_element(src, dst, e);
-      compute_s += clock.seconds();
-    };
-
-    for (int step = 0; step < nsteps; ++step) {
-      SFP_TRACE_SCOPE_CAT("seam.step", "seam");
-      local_tendency(q, rhs);
-      for (const std::size_t n : rp.owned_nodes) s1[n] = q[n] + dt * rhs[n];
-      dss(s1);
-
-      local_tendency(s1, rhs);
-      for (const std::size_t n : rp.owned_nodes)
-        s2[n] = 0.75 * q[n] + 0.25 * (s1[n] + dt * rhs[n]);
-      dss(s2);
-
-      local_tendency(s2, rhs);
-      for (const std::size_t n : rp.owned_nodes)
-        q[n] = q[n] / 3.0 + (2.0 / 3.0) * (s2[n] + dt * rhs[n]);
-      dss(q);
-    }
-
-    for (const std::size_t n : rp.owned_nodes) result[n] = q[n];
-    collector.add(compute_s, exchange_s, messages, doubles_sent);
-  };
-  run_on_world(part.num_parts, wopts, rank_main, [&](runtime::world& w) {
-    if (!stats) return;
-    *stats = collector.total;
-    stats->per_rank.reserve(static_cast<std::size_t>(part.num_parts));
-    for (int p = 0; p < part.num_parts; ++p)
-      stats->per_rank.push_back(w.counters(p));
-  });
+  run_on_world(plan, wopts, stats,
+               [&](const rank_exchange_plan& rp, rank_meter& meter) {
+                 std::vector<double> q(model.field().begin(),
+                                       model.field().end());
+                 rk3_scratch scratch(nfield);
+                 for (int step = 0; step < nsteps; ++step) {
+                   SFP_TRACE_SCOPE_CAT("seam.step", "seam");
+                   advect_step(model, rp, meter, dt, q, scratch);
+                 }
+                 for (const std::size_t n : rp.owned_nodes) result[n] = q[n];
+               });
   return result;
 }
 
@@ -158,82 +202,45 @@ std::vector<double> run_distributed_resilient(
     std::exception_ptr failure;
     std::mutex reliable_mutex;
 
-    // One rank's attempt, independent of the fabric underneath. In-process
-    // mode passes the raw communicator (channel optional); socket mode
-    // passes only the reliable channel — there is no raw communicator, so
-    // every collective point goes through the channel's pumping fence.
-    const auto attempt_body = [&](int rank, runtime::communicator* comm,
-                                  runtime::reliable_channel* channel) {
+    // One rank's attempt, independent of the fabric underneath: `halo`
+    // carries the exchanges and `seal()` closes every step's checkpoint.
+    const auto attempt_body = [&](int rank, halo_exchanger& halo,
+                                  const auto& seal) {
       const rank_exchange_plan& rp =
           plan.ranks[static_cast<std::size_t>(rank)];
-      std::optional<halo_exchanger> halo_slot;
-      if (comm)
-        halo_slot.emplace(rp, *comm, channel);
-      else
-        halo_slot.emplace(rp, rank, *channel);
-      halo_exchanger& halo = *halo_slot;
-        sfp::stopwatch clock;
-        double compute_s = 0, exchange_s = 0;
-        std::int64_t messages = 0, doubles_sent = 0;
-
-        std::vector<double> q(state.begin(), state.end());
-        std::vector<double> rhs(nfield, 0.0), s1(nfield, 0.0), s2(nfield, 0.0);
-
-        int tag_counter = 0;
-        const auto dss = [&](std::vector<double>& f) {
-          clock.reset();
-          const auto [msgs, sent] = halo.dss_average(f, tag_counter++);
-          messages += msgs;
-          doubles_sent += sent;
-          exchange_s += clock.seconds();
-        };
-        const auto local_tendency = [&](const std::vector<double>& src,
-                                        std::vector<double>& dst) {
-          clock.reset();
-          for (const int e : rp.owned) model.tendency_element(src, dst, e);
-          compute_s += clock.seconds();
-        };
-
-        for (int step = done; step < nsteps; ++step) {
-          SFP_TRACE_SCOPE_CAT("seam.step", "seam");
-          local_tendency(q, rhs);
-          for (const std::size_t n : rp.owned_nodes) s1[n] = q[n] + dt * rhs[n];
-          dss(s1);
-
-          local_tendency(s1, rhs);
-          for (const std::size_t n : rp.owned_nodes)
-            s2[n] = 0.75 * q[n] + 0.25 * (s1[n] + dt * rhs[n]);
-          dss(s2);
-
-          local_tendency(s2, rhs);
-          for (const std::size_t n : rp.owned_nodes)
-            q[n] = q[n] / 3.0 + (2.0 / 3.0) * (s2[n] + dt * rhs[n]);
-          dss(q);
-
-          auto& checkpoint = snap[static_cast<std::size_t>((step - done) & 1)];
-          for (const std::size_t n : rp.owned_nodes) checkpoint[n] = q[n];
-          // Seal the checkpoint. With the reliable channel this MUST be the
-          // pumping fence, not the raw barrier: a rank parked in a
-          // non-pumping collective can never retransmit or re-ack, so a
-          // peer still healing a lost message would starve until its
-          // recv_timeout and fake a peer_unreachable escalation.
-          if (channel)
-            channel->fence();
-          else
-            comm->barrier();  // lint: blocking-ok — per-step sync; world::options::timeout turns a lost rank into comm_timeout_error
-          {
-            std::lock_guard<std::mutex> lock(progress_mutex);
-            progress[static_cast<std::size_t>(rank)] = step - done + 1;
-          }
+      rank_meter meter(halo);
+      std::vector<double> q(state.begin(), state.end());
+      rk3_scratch scratch(nfield);
+      for (int step = done; step < nsteps; ++step) {
+        SFP_TRACE_SCOPE_CAT("seam.step", "seam");
+        advect_step(model, rp, meter, dt, q, scratch);
+        auto& checkpoint = snap[static_cast<std::size_t>((step - done) & 1)];
+        for (const std::size_t n : rp.owned_nodes) checkpoint[n] = q[n];
+        seal();
+        {
+          std::lock_guard<std::mutex> lock(progress_mutex);
+          progress[static_cast<std::size_t>(rank)] = step - done + 1;
         }
+      }
+      for (const std::size_t n : rp.owned_nodes) state[n] = q[n];
+      meter.report(collector);
+    };
 
-        for (const std::size_t n : rp.owned_nodes) state[n] = q[n];
-        collector.add(compute_s, exchange_s, messages, doubles_sent);
-        if (channel) {
-          std::lock_guard<std::mutex> lock(reliable_mutex);
-          rep.reliable += channel->stats();
-        }
-      };
+    // Reliable mode, one rank body for both backends (a world communicator
+    // is itself a transport). The seal MUST be the pumping fence, not a raw
+    // barrier: a rank parked in a non-pumping collective can never
+    // retransmit or re-ack, so a peer still healing a lost message would
+    // starve until its recv_timeout and fake a peer_unreachable escalation.
+    const auto reliable_main = [&](runtime::transport& t) {
+      runtime::reliable_options reliable_opts = ropts.reliable;
+      reliable_opts.epoch = static_cast<std::uint64_t>(attempt);
+      runtime::reliable_channel channel(t, reliable_opts);
+      halo_exchanger halo(plan.ranks[static_cast<std::size_t>(t.rank())],
+                          t.rank(), channel);
+      attempt_body(t.rank(), halo, [&] { channel.fence(); });
+      std::lock_guard<std::mutex> lock(reliable_mutex);
+      rep.reliable += channel.stats();
+    };
 
     // Identical fabric-failure handling on every backend: exactly these
     // three exception types feed the escalation ladder. Anything else
@@ -263,13 +270,12 @@ std::vector<double> run_distributed_resilient(
       if (attempt == 0) wopts.faults = ropts.faults;
       runtime::world w(nranks, wopts);  // lint: transport-discipline-ok — the resilient runner's in-process fabric branch
       run_attempt(w, [&](runtime::communicator& comm) {
-        std::optional<runtime::reliable_channel> channel;
-        if (ropts.reliable_transport) {
-          runtime::reliable_options reliable_opts = ropts.reliable;
-          reliable_opts.epoch = static_cast<std::uint64_t>(attempt);
-          channel.emplace(comm, reliable_opts);
-        }
-        attempt_body(comm.rank(), &comm, channel ? &*channel : nullptr);
+        if (ropts.reliable_transport) return reliable_main(comm);
+        halo_exchanger halo(plan.ranks[static_cast<std::size_t>(comm.rank())],
+                            comm);
+        attempt_body(comm.rank(), halo, [&] {
+          comm.barrier();  // lint: blocking-ok — per-step sync; world::options::timeout turns a lost rank into comm_timeout_error
+        });
       });
       rep.counters += w.total_counters();
     } else {
@@ -285,12 +291,7 @@ std::vector<double> run_distributed_resilient(
       // nth index between runs.
       sopts.stream_fault_min_payload = runtime::wire::header_doubles + 1;
       runtime::socket_fabric fab(nranks, sopts);  // lint: transport-discipline-ok — the resilient runner's socket fabric branch
-      run_attempt(fab, [&](runtime::transport& t) {
-        runtime::reliable_options reliable_opts = ropts.reliable;
-        reliable_opts.epoch = static_cast<std::uint64_t>(attempt);
-        runtime::reliable_channel channel(t, reliable_opts);
-        attempt_body(t.rank(), nullptr, &channel);
-      });
+      run_attempt(fab, reliable_main);
       rep.counters += fab.total_counters();
       rep.socket += fab.total_stats();
     }
@@ -341,16 +342,9 @@ swe_state run_distributed_swe(const shallow_water_model& model,
   result.ux.assign(nfield, 0.0);
   result.uy.assign(nfield, 0.0);
   result.uz.assign(nfield, 0.0);
-  stats_collector collector;
 
-  const auto rank_main = [&](runtime::communicator& comm) {
-    const rank_exchange_plan& rp =
-        plan.ranks[static_cast<std::size_t>(comm.rank())];
-    halo_exchanger halo(rp, comm);
-    sfp::stopwatch clock;
-    double compute_s = 0, exchange_s = 0;
-    std::int64_t messages = 0, doubles_sent = 0;
-
+  const auto rank_main = [&](const rank_exchange_plan& rp,
+                             rank_meter& meter) {
     // Four prognostic fields, full layout, owned slices meaningful.
     std::vector<double> h(model.depth().begin(), model.depth().end());
     std::vector<double> ux(model.velocity_x().begin(), model.velocity_x().end());
@@ -361,33 +355,24 @@ swe_state run_distributed_swe(const shallow_water_model& model,
     std::vector<double> t2h(nfield), t2x(nfield), t2y(nfield), t2z(nfield);
     auto scratch = model.make_scratch();
 
-    int tag_counter = 0;
     const auto project_dss = [&](std::vector<double>& fh,
                                  std::vector<double>& fx,
                                  std::vector<double>& fy,
                                  std::vector<double>& fz) {
-      SFP_TRACE_SCOPE_CAT("seam.exchange", "seam");
-      clock.reset();
-      for (const std::size_t n : rp.owned_nodes)
-        model.project_node(n, fx, fy, fz);
-      for (auto* field : {&fh, &fx, &fy, &fz}) {
-        const auto [msgs, sent] = halo.dss_average(*field, tag_counter++);
-        messages += msgs;
-        doubles_sent += sent;
-      }
-      exchange_s += clock.seconds();
+      meter.exchange({&fh, &fx, &fy, &fz}, [&] {
+        for (const std::size_t n : rp.owned_nodes)
+          model.project_node(n, fx, fy, fz);
+      });
     };
     const auto local_rhs = [&](const std::vector<double>& sh,
                                const std::vector<double>& sx,
                                const std::vector<double>& sy,
                                const std::vector<double>& sz) {
-      SFP_TRACE_SCOPE_CAT("seam.compute", "seam");
-      clock.reset();
-      for (const int e : rp.owned)
-        model.rhs_element(sh, sx, sy, sz, rh, rx, ry, rz, e, scratch);
-      compute_s += clock.seconds();
+      meter.compute([&] {
+        for (const int e : rp.owned)
+          model.rhs_element(sh, sx, sy, sz, rh, rx, ry, rz, e, scratch);
+      });
     };
-
     for (int step = 0; step < nsteps; ++step) {
       local_rhs(h, ux, uy, uz);
       for (const std::size_t n : rp.owned_nodes) {
@@ -423,11 +408,8 @@ swe_state run_distributed_swe(const shallow_water_model& model,
       result.uy[n] = uy[n];
       result.uz[n] = uz[n];
     }
-    collector.add(compute_s, exchange_s, messages, doubles_sent);
   };
-  run_on_world(part.num_parts, {}, rank_main, [](runtime::world&) {});
-
-  if (stats) *stats = collector.total;
+  run_on_world(plan, {}, stats, rank_main);
   return result;
 }
 
@@ -443,66 +425,23 @@ std::vector<std::vector<double>> run_distributed_layered(
 
   std::vector<std::vector<double>> result(
       static_cast<std::size_t>(nlev), std::vector<double>(nfield, 0.0));
-  stats_collector collector;
-
-  const auto rank_main = [&](runtime::communicator& comm) {
-    const rank_exchange_plan& rp =
-        plan.ranks[static_cast<std::size_t>(comm.rank())];
-    halo_exchanger halo(rp, comm);
-    sfp::stopwatch clock;
-    double compute_s = 0, exchange_s = 0;
-    std::int64_t messages = 0, doubles_sent = 0;
-
-    std::vector<std::vector<double>> q(static_cast<std::size_t>(nlev));
-    for (int l = 0; l < nlev; ++l)
-      q[static_cast<std::size_t>(l)].assign(model.layer(l).begin(),
-                                            model.layer(l).end());
-    std::vector<double> rhs(nfield, 0.0), s1(nfield, 0.0), s2(nfield, 0.0);
-
-    int tag_counter = 0;
-    const auto dss = [&](std::vector<double>& f) {
-      SFP_TRACE_SCOPE_CAT("seam.exchange", "seam");
-      clock.reset();
-      const auto [msgs, sent] = halo.dss_average(f, tag_counter++);
-      messages += msgs;
-      doubles_sent += sent;
-      exchange_s += clock.seconds();
-    };
-    const auto local_tendency = [&](const std::vector<double>& src) {
-      SFP_TRACE_SCOPE_CAT("seam.compute", "seam");
-      clock.reset();
-      for (const int e : rp.owned) base.tendency_element(src, rhs, e);
-      compute_s += clock.seconds();
-    };
-
-    for (int step = 0; step < nsteps; ++step) {
-      for (int l = 0; l < nlev; ++l) {
-        auto& ql = q[static_cast<std::size_t>(l)];
-        const double wscale = model.omega_at(l);
-        local_tendency(ql);
-        for (const std::size_t n : rp.owned_nodes)
-          s1[n] = ql[n] + dt * wscale * rhs[n];
-        dss(s1);
-        local_tendency(s1);
-        for (const std::size_t n : rp.owned_nodes)
-          s2[n] = 0.75 * ql[n] + 0.25 * (s1[n] + dt * wscale * rhs[n]);
-        dss(s2);
-        local_tendency(s2);
-        for (const std::size_t n : rp.owned_nodes)
-          ql[n] = ql[n] / 3.0 + (2.0 / 3.0) * (s2[n] + dt * wscale * rhs[n]);
-        dss(ql);
-      }
-    }
-
-    for (int l = 0; l < nlev; ++l)
-      for (const std::size_t n : rp.owned_nodes)
-        result[static_cast<std::size_t>(l)][n] =
-            q[static_cast<std::size_t>(l)][n];
-    collector.add(compute_s, exchange_s, messages, doubles_sent);
-  };
-  run_on_world(part.num_parts, {}, rank_main, [](runtime::world&) {});
-
-  if (stats) *stats = collector.total;
+  run_on_world(plan, {}, stats,
+               [&](const rank_exchange_plan& rp, rank_meter& meter) {
+                 std::vector<std::vector<double>> q(
+                     static_cast<std::size_t>(nlev));
+                 for (int l = 0; l < nlev; ++l)
+                   q[static_cast<std::size_t>(l)].assign(
+                       model.layer(l).begin(), model.layer(l).end());
+                 rk3_scratch scratch(nfield);
+                 for (int step = 0; step < nsteps; ++step)
+                   for (int l = 0; l < nlev; ++l)
+                     advect_step(base, rp, meter, dt * model.omega_at(l),
+                                 q[static_cast<std::size_t>(l)], scratch);
+                 for (int l = 0; l < nlev; ++l)
+                   for (const std::size_t n : rp.owned_nodes)
+                     result[static_cast<std::size_t>(l)][n] =
+                         q[static_cast<std::size_t>(l)][n];
+               });
   return result;
 }
 

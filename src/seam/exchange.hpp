@@ -57,23 +57,18 @@ struct exchange_plan {
 /// `tag` agreed across ranks (e.g. a shared counter).
 class halo_exchanger {
  public:
+  /// Raw mode: halo traffic goes straight over the in-process `comm`.
   halo_exchanger(const rank_exchange_plan& plan, runtime::communicator& comm);
 
-  /// Reliable-transport mode: halo traffic travels through `channel`
-  /// (checksummed, acked, retransmitted — see runtime/reliable.hpp) instead
-  /// of raw sends, healing injected drop/corrupt/duplicate/reorder faults
-  /// in place. Each dss_average then ends with channel->flush() and
-  /// channel->fence(): no rank leaves the exchange until every rank's halo
+  /// Reliable mode, over whatever transport `channel` sits on (in-process
+  /// or socket): halo traffic is checksummed, acked and retransmitted (see
+  /// runtime/reliable.hpp), healing injected drop/corrupt/duplicate/reorder
+  /// faults in place. Each dss_average then ends with channel.flush() and
+  /// channel.fence(): no rank leaves the exchange until every rank's halo
   /// traffic is delivered and acknowledged, which is what makes it safe to
-  /// enter raw (non-pumping) collectives afterwards. `channel` must outlive
-  /// the exchanger and belong to the same rank as `comm`.
-  halo_exchanger(const rank_exchange_plan& plan, runtime::communicator& comm,
-                 runtime::reliable_channel* channel);
-
-  /// Backend-agnostic reliable-only mode: all traffic goes through
-  /// `channel`, whatever transport it sits on (in-process or socket); no
-  /// raw communicator is needed or available. `rank` is this rank's id,
-  /// used only for the per-peer obs counter names.
+  /// enter raw (non-pumping) collectives afterwards. `rank` is this rank's
+  /// id, used only for the per-peer obs counter names; `channel` must
+  /// outlive the exchanger.
   halo_exchanger(const rank_exchange_plan& plan, int rank,
                  runtime::reliable_channel& channel);
 
@@ -84,12 +79,12 @@ class halo_exchanger {
 
  private:
   /// Shared core: obs counters + scratch sizing; `rank` only names the
-  /// counters. Delegated to by every public constructor.
+  /// counters. Delegated to by both public constructors.
   halo_exchanger(const rank_exchange_plan& plan, int rank);
 
   const rank_exchange_plan* plan_;
-  runtime::communicator* comm_ = nullptr;  ///< null in reliable-only mode
-  runtime::reliable_channel* reliable_ = nullptr;
+  runtime::communicator* comm_ = nullptr;  ///< null in reliable mode
+  runtime::reliable_channel* reliable_ = nullptr;  ///< null in raw mode
   std::vector<double> acc_;     // per touched dof
   std::vector<double> fresh_;   // accumulated incl. remote partials
   std::vector<double> packed_;  // send scratch

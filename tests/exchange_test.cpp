@@ -130,6 +130,8 @@ TEST_P(DistributedSwe, MatchesSerialExecution) {
   if (nranks > 1) {
     EXPECT_GT(stats.messages, 0);
   }
+  // One world counter set per rank, as run_distributed reports.
+  EXPECT_EQ(stats.per_rank.size(), static_cast<std::size_t>(nranks));
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, DistributedSwe, ::testing::Values(1, 2, 4, 8),

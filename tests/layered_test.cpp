@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/sfc_partition.hpp"
@@ -134,6 +135,32 @@ TEST(Layered, DistributedMatchesSerialAndVolumeScalesWithNlev) {
   const auto plan = exchange_plan::build(serial.base().dofs(), part);
   EXPECT_EQ(stats.doubles_sent,
             3LL * nsteps * nlev * plan.total_exchange_volume());
+  EXPECT_EQ(stats.per_rank.size(), static_cast<std::size_t>(nranks));
+}
+
+TEST(Layered, DistributedLayerIsBitwiseThePlainRunnerAtItsScaledStep) {
+  // Every layer steps through the same rank loop as run_distributed, with
+  // time step dt * omega_at(l) on the omega = 1 base geometry — so each
+  // layer's distributed result is bit-for-bit the plain runner's.
+  const mesh::cubed_sphere m(2);
+  const int nlev = 3, nsteps = 3, nranks = 5;
+  layered_advection model(m, 4, nlev, 1.0, 0.6);  // omega: 0.7, 1.0, 1.3
+  model.set_field([](mesh::vec3 p, int l) {
+    return p.x * (1 + l) + 0.2 * p.y - 0.1 * l * p.z;
+  });
+  const double dt = model.cfl_dt(0.3);
+  const auto part = core::sfc_partition(m, nranks);
+  const auto layered = run_distributed_layered(model, part, dt, nsteps);
+  ASSERT_EQ(layered.size(), static_cast<std::size_t>(nlev));
+  for (int l = 0; l < nlev; ++l) {
+    ASSERT_GT(model.omega_at(l), 0.0);
+    advection_model plain = model.base();
+    const auto init = model.layer(l);
+    std::copy(init.begin(), init.end(), plain.mutable_field().begin());
+    const auto ref =
+        run_distributed(plain, part, dt * model.omega_at(l), nsteps);
+    EXPECT_TRUE(layered[static_cast<std::size_t>(l)] == ref) << "layer " << l;
+  }
 }
 
 TEST(Layered, Preconditions) {

@@ -19,6 +19,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/cube_curve.hpp"
@@ -387,21 +388,43 @@ TEST(TraceExport, CounterEventsCarryPerKindInjectedFaultMetrics) {
   EXPECT_EQ(bare.str().find("\"ph\":\"C\""), std::string::npos);
 }
 
+/// A clean (fault-free) resilient run under a session.
+obs::trace_dump traced_resilient_run(int ne, int nproc, int nsteps) {
+  obs::session s;
+  obs::trace::set_thread_name("main");
+  const mesh::cubed_sphere mesh(ne);
+  const auto curve = core::build_cube_curve(mesh);
+  const auto part = core::sfc_partition(curve, nproc);
+  seam::advection_model model(mesh, 4);
+  model.set_field([](mesh::vec3 p) { return p.x * p.x + p.y; });
+  (void)seam::run_distributed_resilient(model, curve, part, model.cfl_dt(0.3),
+                                        nsteps);
+  return s.finish();
+}
+
 TEST(TraceExport, RankThreadsAreNamedAndCarrySeamSpans) {
-  const auto dump = traced_advection_run(4, 6, 2);
-  int rank_threads = 0;
-  for (const auto& th : dump.threads) {
-    if (th.name.rfind("rank ", 0) != 0) continue;
-    ++rank_threads;
-    bool has_step = false, has_exchange = false;
-    for (const auto& ev : th.events) {
-      if (std::string_view(ev.name) == "seam.step") has_step = true;
-      if (std::string_view(ev.name) == "seam.exchange") has_exchange = true;
+  // The plain and the resilient runner step through the same rank loop, so
+  // both must put the full span set on every rank thread.
+  for (const auto& [runner, dump] :
+       {std::pair{"run_distributed", traced_advection_run(4, 6, 2)},
+        std::pair{"run_distributed_resilient",
+                  traced_resilient_run(4, 6, 2)}}) {
+    int rank_threads = 0;
+    for (const auto& th : dump.threads) {
+      if (th.name.rfind("rank ", 0) != 0) continue;
+      ++rank_threads;
+      bool has_step = false, has_compute = false, has_exchange = false;
+      for (const auto& ev : th.events) {
+        if (std::string_view(ev.name) == "seam.step") has_step = true;
+        if (std::string_view(ev.name) == "seam.compute") has_compute = true;
+        if (std::string_view(ev.name) == "seam.exchange") has_exchange = true;
+      }
+      EXPECT_TRUE(has_step) << runner << ' ' << th.name;
+      EXPECT_TRUE(has_compute) << runner << ' ' << th.name;
+      EXPECT_TRUE(has_exchange) << runner << ' ' << th.name;
     }
-    EXPECT_TRUE(has_step) << th.name;
-    EXPECT_TRUE(has_exchange) << th.name;
+    EXPECT_EQ(rank_threads, 6) << runner;
   }
-  EXPECT_EQ(rank_threads, 6);
 }
 
 // ---- tracing under the virtual-rank runtime (tsan target) -------------------

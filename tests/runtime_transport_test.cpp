@@ -57,12 +57,12 @@ TEST(TransportVocabulary, StreamFaultKindNames) {
   EXPECT_STREQ(to_string(stream_fault::kind::stall), "stall");
 }
 
-// ---- in-process adapter -----------------------------------------------------
+// ---- in-process backend -----------------------------------------------------
 
-TEST(InprocAdapter, DelegatesToTheCommunicator) {
+TEST(InprocBackend, CommunicatorIsTheTransport) {
   world w(2);
   w.run([](communicator& c) {
-    inproc_transport t(c);
+    transport& t = c;
     ASSERT_EQ(t.rank(), c.rank());
     ASSERT_EQ(t.size(), 2);
     if (c.rank() == 0) {
@@ -75,8 +75,8 @@ TEST(InprocAdapter, DelegatesToTheCommunicator) {
       EXPECT_EQ(m.payload, (std::vector<double>{1.5, 2.5}));
     }
   });
-  // The adapter is behavior-preserving: traffic lands in the world's own
-  // counters, not some parallel set.
+  // Traffic driven through the transport interface lands in the world's
+  // own counters, not some parallel set.
   EXPECT_EQ(w.total_counters().messages_sent, 1);
   EXPECT_EQ(w.total_counters().messages_received, 1);
 }
@@ -328,10 +328,7 @@ class ReliableOverBackend
                 const std::function<void(transport&, int)>& body) {
     if (GetParam() == transport_backend::inproc) {
       world w(2, {.timeout = 10000ms, .faults = faults});
-      w.run([&](communicator& c) {
-        inproc_transport t(c);
-        body(t, c.rank());
-      });
+      w.run([&](communicator& c) { body(c, c.rank()); });
       ASSERT_FALSE(w.aborted());
     } else {
       socket_fabric_options opts;
