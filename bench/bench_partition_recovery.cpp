@@ -32,8 +32,10 @@ struct scenario {
   std::vector<runtime::fault_plan::kill_spec> kills;
 };
 
-/// Reliable tuning matched to kill runs: fast retransmit exhaustion makes
-/// corpse detection definite quickly, and the short base recv timeout
+/// Reliable tuning matched to kill runs. In-process, a corpse is detected
+/// at once by departure (its rank body returned), whatever these say; they
+/// bound the silence fallback. Fast retransmit exhaustion keeps definite
+/// detection quick without that signal, and the short base recv timeout
 /// keeps the regroup silence budgets (counted in recv rounds) small — so
 /// the bench prices the protocol, not a conservative production timeout.
 runtime::parallel_partition_run_options recovery_run_options() {
@@ -133,9 +135,10 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", t.str().c_str());
   std::printf(
-      "Reading: recovery cost = detection (retransmit exhaustion or the\n"
-      "silence patience budget) + one agreement round + a from-scratch\n"
-      "re-execution over the survivors; fault-free baseline %.3f ms.\n",
+      "Reading: recovery cost = detection (in-process, the departure of\n"
+      "the dead rank: immediate; silence budgets are only the fallback)\n"
+      "+ agreement + a from-scratch re-execution over the survivors;\n"
+      "fault-free baseline %.3f ms.\n",
       base_ms);
 
   doc.object["rows"] = std::move(rows);

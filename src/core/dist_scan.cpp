@@ -298,14 +298,13 @@ std::vector<std::int64_t> regroup_comm::recv_framed(int world_src,
       // A collector accepts any report — a sender still walking an older
       // epoch is nonetheless alive and naming real corpses.
       if (want == frame_report) return frame;
-      if (regroup_on_silence && epoch == view_.epoch) {
-        // Overheard suspicion during a data wait: if the union of all
-        // current-epoch reports makes this rank the lowest unsuspected
-        // member, every reporter is waiting on us to coordinate. If the
-        // *sender* is that lowest member, it is a coordinator candidate
-        // prodding us for a roll-call report — reply so its collect does
-        // not have to falsely suspect a healthy rank that simply had
-        // nothing to say.
+      if (epoch == view_.epoch) {
+        // Overheard suspicion: if the union of current-epoch reports makes
+        // this rank the lowest unsuspected member, every reporter waits on
+        // us to coordinate (data waits only). If the *sender* is that
+        // member, it is a candidate prodding us for a roll-call report:
+        // reply, even mid-NEWGROUP-wait — it may have spent our last report
+        // adopting this epoch — or its collect falsely suspects us.
         std::vector<int> suspects;
         for (const auto& [src, stash] : pending_reports_)
           if (stash.epoch == view_.epoch)
@@ -320,7 +319,8 @@ std::vector<std::int64_t> regroup_comm::recv_framed(int world_src,
             }
           }
           if (lowest == world_src) send_report(world_src, suspects);
-          if (lowest == self_world_) coordinate(std::move(suspects));
+          if (lowest == self_world_ && regroup_on_silence)
+            coordinate(std::move(suspects));
         }
       }
       continue;

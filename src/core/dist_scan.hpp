@@ -100,17 +100,17 @@ std::vector<std::int64_t> allgather_concat(peer_comm& comm,
 // bumps the epoch, and throws group_reconfigured so the caller can restart
 // its collective algorithm from scratch over the shrunken group.
 //
-// Assumptions (documented in docs/parallel_partition.md): fail-stop ranks
-// (a dead rank is silent forever, never Byzantine) and accurate suspicion —
-// the base comm's detection timeout, times the patience budget here, must
-// exceed the longest genuine silent gap of a live peer. A false suspicion
-// degrades to eviction of a live rank (and possibly quorum abort), never to
-// a hang or a wrong plan.
+// Assumptions (docs/parallel_partition.md): fail-stop ranks (a dead rank is
+// silent forever, never Byzantine). Definite losses — a departed peer first,
+// then retransmit exhaustion — act at once; bare silence is the fallback and
+// must be suspected accurately: the base recv timeout times the patience
+// budget must exceed a live peer's longest silent gap. A false suspicion
+// evicts a live rank (maybe aborting on quorum), never hangs or misplans.
 
 /// Thrown by a fault-tolerant peer_comm when `peer` is presumed dead.
-/// `definite` distinguishes delivery-level proof (retransmit budget
-/// exhausted on traffic addressed to the peer) from a bare recv timeout,
-/// which regroup_comm retries against its patience budget first.
+/// `definite` marks proof (the peer departed, or a retransmit budget ran
+/// out on traffic to it), as opposed to a bare recv timeout, which
+/// regroup_comm retries against its patience budget first.
 class peer_lost : public std::runtime_error {
  public:
   peer_lost(int peer, bool definite);

@@ -184,13 +184,14 @@ std::vector<std::int64_t> reliable_peer_comm::recv(int src) {
   SFP_REQUIRE(src >= 0 && src < size_ && src != rank_,
               "recv source must be another rank in the group");
   try {
-    const std::vector<double> payload = channel_->recv(src, partition_tag);  // lint: blocking-ok — reliable recv pumps the progress engine and fails over to peer_unreachable after recv_timeout
+    const std::vector<double> payload = channel_->recv(src, partition_tag);  // lint: blocking-ok — reliable recv pumps the progress engine and fails over to peer_unreachable on departure or after recv_timeout
     return from_wire(payload);
   } catch (const peer_unreachable_error& e) {
-    // Translate to the core-layer failure vocabulary: retransmit
-    // exhaustion is delivery-level proof of death, a recv timeout only a
+    // Translate to the core-layer failure vocabulary: departure and
+    // retransmit exhaustion are proof of death, a recv timeout only a
     // suspicion the regroup layer weighs against its patience budget.
-    throw core::peer_lost(e.peer(), e.attempts() > 0);  // lint: runtime-throw-ok — failure-vocabulary translation at the core/runtime seam; the regroup layer catches it immediately above
+    const bool definite = e.cause() != unreachable_cause::recv_timeout;
+    throw core::peer_lost(e.peer(), definite);  // lint: runtime-throw-ok — failure-vocabulary translation at the core/runtime seam; the regroup layer catches it immediately above
   }
 }
 

@@ -31,9 +31,9 @@ inline constexpr int partition_tag = 17;
 /// core::peer_comm over a reliable_channel: ordered, exactly-once int64
 /// record delivery between virtual ranks. One instance per rank thread,
 /// wrapping that rank's own channel. Delivery failures surface as
-/// core::peer_lost — attempts > 0 (retransmit exhaustion against a silent
-/// peer) maps to a definite loss, a bare recv timeout to a tentative one —
-/// so the survivor-regroup layer can sit directly on top.
+/// core::peer_lost — a departed peer or retransmit exhaustion maps to a
+/// definite loss, a bare recv timeout to a tentative one — so the
+/// survivor-regroup layer can sit directly on top.
 class reliable_peer_comm final : public core::peer_comm {
  public:
   reliable_peer_comm(reliable_channel& channel, int rank, int size)

@@ -52,10 +52,21 @@ std::uint32_t envelope_crc(const envelope& h, std::span<const double> payload) {
   return crc32c(payload.data(), payload.size() * sizeof(double), crc);
 }
 
-std::string unreachable_message(int self, int peer, int attempts) {
+std::string unreachable_message(int self, int peer, unreachable_cause cause,
+                                int attempts) {
   std::ostringstream os;
-  os << "rank " << self << ": peer " << peer << " unreachable after "
-     << attempts << " delivery attempts";
+  os << "rank " << self << ": peer " << peer << " unreachable: ";
+  switch (cause) {
+    case unreachable_cause::retransmits_exhausted:
+      os << "no ack after " << attempts << " delivery attempts";
+      break;
+    case unreachable_cause::recv_timeout:
+      os << "recv timed out";
+      break;
+    case unreachable_cause::departed:
+      os << "departed";
+      break;
+  }
   return os.str();
 }
 
@@ -82,11 +93,12 @@ std::uint32_t crc32c(const void* data, std::size_t bytes, std::uint32_t crc) {
 }
 
 peer_unreachable_error::peer_unreachable_error(int self, int peer,
+                                               unreachable_cause cause,
                                                int attempts)
-    : std::runtime_error(unreachable_message(self, peer, attempts)),
+    : std::runtime_error(unreachable_message(self, peer, cause, attempts)),
       rank_(self),
       peer_(peer),
-      attempts_(attempts) {}
+      cause_(cause) {}
 
 namespace wire {
 
@@ -148,6 +160,7 @@ reliable_stats& reliable_stats::operator+=(const reliable_stats& o) {
   acks_received += o.acks_received;
   stale_dropped += o.stale_dropped;
   shutdown_discarded += o.shutdown_discarded;
+  peer_departures += o.peer_departures;
   return *this;
 }
 
@@ -209,6 +222,7 @@ void reliable_channel::publish_metrics() {
   delta.acks_received -= published_.acks_received;
   delta.stale_dropped -= published_.stale_dropped;
   delta.shutdown_discarded -= published_.shutdown_discarded;
+  delta.peer_departures -= published_.peer_departures;
   published_ = stats_;
   obs::registry& reg = obs::registry::global();
   reg.get_counter("reliable.data_sent").add(delta.data_sent);
@@ -223,6 +237,7 @@ void reliable_channel::publish_metrics() {
   reg.get_counter("reliable.stale_dropped").add(delta.stale_dropped);
   reg.get_counter("reliable.shutdown_discarded")
       .add(delta.shutdown_discarded);
+  reg.get_counter("reliable.peer_departed").add(delta.peer_departures);
 }
 
 std::uint64_t& reliable_channel::seq_slot(
@@ -334,6 +349,7 @@ void reliable_channel::service_retransmits() {
     if (entry.deadline > now) continue;
     if (entry.attempts >= opts_.max_retransmits)
       throw peer_unreachable_error(fabric_->rank(), entry.dst,
+                                   unreachable_cause::retransmits_exhausted,
                                    entry.attempts + 1);
     ++entry.attempts;
     ++stats_.retransmits;
@@ -352,20 +368,36 @@ bool reliable_channel::pump(std::chrono::microseconds wait) {
   return got;
 }
 
+void reliable_channel::drain() {
+  while (pump(std::chrono::microseconds(0))) {
+  }
+}
+
 std::vector<double> reliable_channel::recv(int src, int tag) {
   SFP_TRACE_SCOPE_CAT("reliable.recv", "runtime");
   const stream_key key{src, tag};
   const bool bounded = opts_.recv_timeout.count() > 0;
   const clock::time_point give_up = clock::now() + opts_.recv_timeout;
   for (;;) {
+    // Read the flag before draining: once src has departed, all it ever
+    // sent is in the mailbox, so a stream still empty after the drain
+    // stays empty.
+    const bool gone = fabric_->departed(src);
+    if (gone) drain();
     auto it = ready_.find(key);
     if (it != ready_.end() && !it->second.empty()) {
       std::vector<double> out = std::move(it->second.front());
       it->second.pop_front();
       return out;
     }
+    if (gone) {
+      ++stats_.peer_departures;
+      throw peer_unreachable_error(fabric_->rank(), src,
+                                   unreachable_cause::departed);
+    }
     if (bounded && clock::now() >= give_up)
-      throw peer_unreachable_error(fabric_->rank(), src, 0);
+      throw peer_unreachable_error(fabric_->rank(), src,
+                                   unreachable_cause::recv_timeout);
     pump(opts_.pump_quantum);
   }
 }
@@ -402,8 +434,25 @@ void reliable_channel::flush() {
   SFP_TRACE_SCOPE_CAT("reliable.flush", "runtime");
   // Pump until every send is acked; service_retransmits inside pump()
   // enforces the per-message retransmit budget, so this terminates either
-  // clean or with peer_unreachable_error.
-  while (!unacked_.empty()) pump(opts_.pump_quantum);
+  // clean or with peer_unreachable_error. A departed destination ends the
+  // wait early: its acks are drained first, as in recv.
+  while (!unacked_.empty()) {
+    const auto gone = std::find_if(
+        unacked_.begin(), unacked_.end(),
+        [this](const auto& kv) { return fabric_->departed(kv.second.dst); });
+    if (gone == unacked_.end()) {
+      pump(opts_.pump_quantum);
+      continue;
+    }
+    const int peer = gone->second.dst;
+    drain();
+    if (std::any_of(unacked_.begin(), unacked_.end(),
+                    [peer](const auto& kv) { return kv.second.dst == peer; })) {
+      ++stats_.peer_departures;
+      throw peer_unreachable_error(fabric_->rank(), peer,
+                                   unreachable_cause::departed);
+    }
+  }
 }
 
 void reliable_channel::fence() {

@@ -20,7 +20,12 @@
 //     capped exponential backoff; a message that exhausts max_retransmits
 //     raises peer_unreachable_error, which the seam's resilient runner
 //     escalates to the existing plan_recovery path (the rung between
-//     "retransmit" and "re-slice" on the escalation ladder).
+//     "retransmit" and "re-slice" on the escalation ladder);
+//   * a peer the transport reports as departed is given up on at once:
+//     recv and flush first drain everything it sent, then raise
+//     peer_unreachable_error (cause departed) if that did not satisfy
+//     them. Silence — recv_timeout and retransmit exhaustion — is the
+//     fallback for backends without the signal and for live, mute peers.
 //
 // All traffic — data and acks — multiplexes over one reserved wire tag so a
 // single try_recv_any pump drains it; the logical tag lives inside the
@@ -61,24 +66,36 @@ namespace sfp::runtime {
 std::uint32_t crc32c(const void* data, std::size_t bytes,
                      std::uint32_t crc = 0);
 
-/// Thrown when a message to `peer` exhausted its retransmit budget (or a
-/// reliable recv waited out recv_timeout): the transient-fault machinery
-/// gives up and the caller should escalate to rank recovery.
+/// Why a reliable operation gave up on a peer.
+enum class unreachable_cause {
+  /// A send burned its whole retransmit budget against silence.
+  retransmits_exhausted,
+  /// A recv waited out recv_timeout: only suspicion, since a live peer can
+  /// be slow. The regroup layer weighs it against a patience budget.
+  recv_timeout,
+  /// The transport reports the peer's rank body has returned
+  /// (transport::departed), and draining its traffic did not finish the
+  /// wait: the peer will never send again.
+  departed,
+};
+
+/// Thrown when the reliable layer gives up on `peer` (see cause()): the
+/// transient-fault machinery cannot heal this, and the caller should
+/// escalate to rank recovery.
 class peer_unreachable_error : public std::runtime_error {
  public:
-  peer_unreachable_error(int self, int peer, int attempts);
+  /// `attempts` is the retransmit count behind retransmits_exhausted; it
+  /// only feeds the message.
+  peer_unreachable_error(int self, int peer, unreachable_cause cause,
+                         int attempts = 0);
   int rank() const { return rank_; }
   int peer() const { return peer_; }
-  /// Retransmit attempts behind the failure: > 0 means delivery-level
-  /// proof (a full retransmit budget burned against silence), 0 means a
-  /// bare recv timeout — a much weaker death signal, which the regroup
-  /// layer weighs against a patience budget instead of trusting outright.
-  int attempts() const { return attempts_; }
+  unreachable_cause cause() const { return cause_; }
 
  private:
   int rank_;
   int peer_;
-  int attempts_;
+  unreachable_cause cause_;
 };
 
 /// All reliable traffic shares this one wire tag (outside the seam's logical
@@ -169,6 +186,7 @@ struct reliable_stats {
   std::int64_t acks_received = 0;
   std::int64_t stale_dropped = 0;        ///< wrong-epoch messages
   std::int64_t shutdown_discarded = 0;   ///< unacked entries dropped at exit
+  std::int64_t peer_departures = 0;      ///< gave up on a departed peer
 
   reliable_stats& operator+=(const reliable_stats& o);
 };
@@ -190,11 +208,16 @@ class reliable_channel {
   void send(int dst, int tag, std::span<const double> data);
 
   /// Blocking: pump until the next in-order message on (src, tag) is
-  /// available. Throws peer_unreachable_error after recv_timeout.
+  /// available. Throws peer_unreachable_error as soon as `src` has
+  /// departed and its drained traffic holds no such message, or after
+  /// recv_timeout of silence.
   std::vector<double> recv(int src, int tag);
 
   /// Pump until every send has been acknowledged (retransmitting as
-  /// deadlines expire). Call before leaving an exchange phase.
+  /// deadlines expire). Throws peer_unreachable_error once a peer with an
+  /// unacked send has departed and its drained acks do not cover it, or
+  /// when a send exhausts its retransmit budget. Call before leaving an
+  /// exchange phase.
   void flush();
 
   /// Pumping dissemination barrier over the channel itself: returns when
@@ -236,6 +259,9 @@ class reliable_channel {
   /// One pump iteration: drain/park up to one wire message, then service
   /// retransmit deadlines. Returns true when a message was processed.
   bool pump(std::chrono::microseconds wait);
+  /// Zero-wait pumps until the mailbox is empty. Called after reading a
+  /// departed flag, so everything the departed peer sent is processed.
+  void drain();
   void service_retransmits();
   void handle_wire(any_message&& msg);
   void send_ack(int src, int tag, std::uint64_t seq);

@@ -463,6 +463,10 @@ class socket_endpoint final : public transport {
     return fab_->take_any(rank_, tag, wait, out);
   }
 
+  /// No departure signal over sockets yet: a closed peer looks like a
+  /// silent one, and callers fall back to their timeouts.
+  bool departed(int /*peer*/) const override { return false; }
+
  private:
   struct out_conn {
     std::mutex mutex;

@@ -11,6 +11,13 @@
 // dedup, delivery guarantees — is the reliable layer's job, which is exactly
 // what makes the backends interchangeable under one chaos contract.
 //
+// Death signals: departed(peer) is the one definite signal a backend can
+// give — the peer's rank body has returned and its traffic is all in the
+// mailbox. The in-process backend reports it; the socket backend does not
+// yet, so there silence (recv timeouts, retransmit exhaustion) stays the
+// only signal. Silence is the fallback on every backend for a peer that
+// is alive but not talking.
+//
 // Backends:
 //   - communicator (world.hpp): the thread-backed in-process mailbox
 //     fabric, which implements this interface directly.
@@ -115,6 +122,14 @@ class transport {
   /// caller pumping it. A fabric abort wakes it with world_aborted.
   virtual bool try_recv_any(int tag, std::chrono::microseconds wait,
                             any_message* out) = 0;
+
+  /// True once `peer`'s rank body has returned for good — normally, after
+  /// rank_killed, or by throwing. From then on `peer` never sends again,
+  /// and everything it delivered to this rank is already waiting to be
+  /// drained by try_recv_any: a definite death signal, unlike silence. A
+  /// backend that cannot tell answers false, and its callers fall back to
+  /// timeouts (the socket backend does so).
+  virtual bool departed(int peer) const = 0;
 
  protected:
   transport() = default;

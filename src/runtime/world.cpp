@@ -91,6 +91,12 @@ bool communicator::try_recv_any(int tag, std::chrono::microseconds wait,
   return world_->take_any(rank_, tag, wait, out);
 }
 
+bool communicator::departed(int peer) const {
+  SFP_REQUIRE(peer >= 0 && peer < world_->size(), "peer out of range");
+  return world_->departed_[static_cast<std::size_t>(peer)].load(
+      std::memory_order_acquire);
+}
+
 void communicator::barrier() {
   SFP_TRACE_SCOPE_CAT("world.barrier", "runtime");
   const auto self = static_cast<std::size_t>(rank_);
@@ -129,6 +135,7 @@ world::world(int num_ranks, options opts)
     : num_ranks_(validated_rank_count(num_ranks)),
       opts_(std::move(opts)),
       mailboxes_(static_cast<std::size_t>(num_ranks)),
+      departed_(static_cast<std::size_t>(num_ranks)),
       counters_(static_cast<std::size_t>(num_ranks)),
       tag_doubles_(static_cast<std::size_t>(num_ranks)),
       reduce_slots_(static_cast<std::size_t>(num_ranks), 0.0) {}
@@ -357,6 +364,7 @@ void world::trigger_abort(int rank) {
 void world::reset_run_state() {
   abort_flag_.store(false, std::memory_order_release);
   failed_rank_.store(-1, std::memory_order_release);
+  for (auto& gone : departed_) gone.store(false, std::memory_order_release);
   for (auto& box : mailboxes_) box.queues.clear();
   counters_.assign(static_cast<std::size_t>(num_ranks_), rank_counters{});
   tag_doubles_.assign(static_cast<std::size_t>(num_ranks_), {});
@@ -393,6 +401,10 @@ void world::run(const std::function<void(communicator&)>& rank_main) {
         errors[static_cast<std::size_t>(p)] = std::current_exception();
         trigger_abort(p);
       }
+      // After the body (and every send it made) is done: peers that see
+      // the flag find all of this rank's traffic already in their mailbox.
+      departed_[static_cast<std::size_t>(p)].store(true,
+                                                   std::memory_order_release);
     });
   }
   for (auto& t : threads) t.join();

@@ -15,6 +15,8 @@
 // lost messages into comm_timeout_error. A seeded fault_plan injects
 // deterministic kills and message drop/delay/duplication for chaos tests,
 // and per-rank robustness counters account for everything that happened.
+// A rank whose body has returned is flagged as departed, which the
+// reliable layer reads as a definite death signal (transport::departed).
 //
 // Observability: every blocking call is a trace span when an obs session is
 // active (rank threads are named "rank N" in the dump), blocking waits feed
@@ -62,6 +64,11 @@ class communicator final : public transport {
   /// with world_aborted.
   bool try_recv_any(int tag, std::chrono::microseconds wait,
                     any_message* out) override;
+
+  /// True once `peer`'s rank thread has left its rank body (see
+  /// transport::departed). Every message it sent is in the mailboxes by
+  /// then: delivery is synchronous, and the flag is published afterwards.
+  bool departed(int peer) const override;
 
   /// Collective: all ranks must call; returns when everyone arrived.
   void barrier();
@@ -145,6 +152,9 @@ class world {
   // Failure state (set once per run by the first failing rank).
   std::atomic<bool> abort_flag_{false};
   std::atomic<int> failed_rank_{-1};
+  /// Per rank: its body has returned this run. Stored (release) by the
+  /// rank's own thread after the body, read (acquire) by its peers.
+  std::vector<std::atomic<bool>> departed_;
 
   // Per-rank accounting and fault state; each entry is written only by its
   // own rank thread during run() and read after the join. The pipeline owns

@@ -463,11 +463,12 @@ soak_report run_chaos_soak(const chaos_harness& harness,
 
 runtime::reliable_options partition_chaos_reliable_defaults() {
   runtime::reliable_options r = chaos_reliable_defaults();
-  // A kill is detected either definitely (retransmit exhaustion against a
-  // silent peer) or tentatively (recv timeouts counted against the regroup
-  // patience budget), and both paths wait out *real* silence — so the
-  // detection budgets are tightened here to keep a 50-schedule soak inside
-  // CI wall-clock. The retransmit timeout itself stays at the chaos
+  // In-process a kill is detected at once (the corpse departs). Over
+  // sockets it is detected either definitely (retransmit exhaustion against
+  // a silent peer) or tentatively (recv timeouts counted against the
+  // regroup patience budget), and both paths wait out *real* silence — so
+  // the detection budgets are tightened here to keep a 50-schedule soak
+  // inside CI wall-clock. The retransmit timeout itself stays at the chaos
   // default: shrinking it invites jitter-induced retransmits that would
   // shift which message a pinned fault's `nth` lands on between runs.
   r.max_retransmits = 12;  // definite loss after ~200ms of peer silence

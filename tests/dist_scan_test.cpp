@@ -290,9 +290,10 @@ struct regroup_run {
   std::vector<std::int64_t> value;  ///< whatever the body computed
 };
 
-/// Reliable tuning matched to kill tests: fast retransmit exhaustion makes
-/// corpse detection definite within ~a quarter second, and the short base
-/// recv timeout keeps the silence-patience budget in wall-clock bounds.
+/// Reliable tuning matched to kill tests. A corpse is detected at once by
+/// departure; for the silence fallback, fast retransmit exhaustion makes
+/// detection definite within ~a quarter second, and the short base recv
+/// timeout keeps the silence-patience budget in wall-clock bounds.
 runtime::reliable_options kill_test_reliable() {
   runtime::reliable_options r;
   r.retransmit_timeout = std::chrono::microseconds(5000);

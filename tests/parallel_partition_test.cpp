@@ -230,9 +230,12 @@ INSTANTIATE_TEST_SUITE_P(Backends, ParallelPartitionOverBackend,
 parallel_partition_run_options kill_run_options(transport_backend backend) {
   parallel_partition_run_options opts;
   opts.backend = backend;
-  // Fast retransmit exhaustion makes corpse detection definite within a
-  // fraction of a second; the short base recv timeout keeps the regroup
-  // silence budgets (counted in recv rounds) in wall-clock bounds.
+  // In-process, a corpse is detected definitely and at once: its rank body
+  // has returned (transport::departed). The socket backend has no such
+  // signal yet and falls back to silence: fast retransmit exhaustion makes
+  // detection definite within a fraction of a second, and the short base
+  // recv timeout keeps the regroup silence budgets (counted in recv
+  // rounds) in wall-clock bounds.
   opts.reliable.retransmit_timeout = std::chrono::microseconds(5000);
   opts.reliable.max_backoff = std::chrono::microseconds(20000);
   opts.reliable.max_retransmits = 12;
@@ -259,6 +262,10 @@ TEST_P(ParallelPartitionOverBackend, SurvivesRankZeroKillAndMatchesSerial) {
   EXPECT_GE(report.group_epoch, 1u);
   EXPECT_TRUE(std::find(report.lost_ranks.begin(), report.lost_ranks.end(),
                         0) != report.lost_ranks.end());
+  // In-process survivors learn of the death from the departure signal.
+  if (GetParam() == transport_backend::inproc) {
+    EXPECT_GE(report.reliable.peer_departures, 1);
+  }
   expect_matches_serial(report, serial, curve, weights,
                         std::string(to_string(GetParam())) +
                             " rank-0 kill succession");
@@ -286,8 +293,39 @@ TEST(ParallelPartitionKills, TwoDeathsAtExactQuorumStillMatchSerial) {
   EXPECT_EQ(report.counters.injected_kills, 2);
   EXPECT_GE(report.recoveries, 1);
   EXPECT_EQ(report.lost_ranks.size(), 2u);
+  EXPECT_GE(report.reliable.peer_departures, 1);
   expect_matches_serial(report, serial, curve, {},
                         "two kills at exact quorum");
+}
+
+TEST(ParallelPartitionKills, SilencedLiveRankIsEvictedThroughThePatienceBudget) {
+  // Rank 2 stays alive but everything it sends is lost, so it never
+  // departs while the others wait on it: only the silence fallback (the
+  // regroup patience budget over recv timeouts) can evict it. The
+  // retransmit budget is far longer than that, so the eviction cannot
+  // come from retransmit exhaustion either.
+  const mesh::cubed_sphere mesh(3);
+  const core::cube_curve curve = core::build_cube_curve(mesh);
+  const core::cube_curve_spec spec = core::spec_of(curve);
+  const partition::partition serial = core::sfc_partition(curve, 5);
+
+  parallel_partition_run_options opts =
+      kill_run_options(transport_backend::inproc);
+  opts.reliable.max_retransmits = 1000;  // ~20 s of retransmits
+  runtime::fault_plan::message_fault mute;
+  mute.src = 2;  // dst = -1: every outgoing link of rank 2
+  mute.drop_probability = 1.0;
+  opts.faults.message_faults.push_back(mute);
+
+  const parallel_partition_report report =
+      run_parallel_partition(mesh, spec, 5, {}, 4, opts);
+  ASSERT_FALSE(report.aborted);
+  EXPECT_EQ(report.counters.injected_kills, 0);
+  EXPECT_GE(report.recoveries, 1);
+  EXPECT_EQ(report.lost_ranks, std::vector<int>{2});
+  // Evicted by silence: no survivor gave up on a departed peer.
+  EXPECT_EQ(report.reliable.peer_departures, 0);
+  expect_matches_serial(report, serial, curve, {}, "silenced live rank");
 }
 
 TEST_P(ParallelPartitionOverBackend, SubQuorumKillsAbortCleanlyWithoutHang) {

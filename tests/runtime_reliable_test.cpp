@@ -1,7 +1,8 @@
 // Tests for the reliable-delivery transport: CRC32C, the wire envelope,
 // exactly-once in-order delivery under drop/duplicate/corrupt/truncate/
-// reorder injection, retransmit exhaustion, and the fault-injection
-// extensions (payload corruption, truncation, reordering) it heals.
+// reorder injection, retransmit exhaustion, peer departure, and the
+// fault-injection extensions (payload corruption, truncation, reordering)
+// it heals.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -380,6 +382,7 @@ TEST(ReliableChannel, TotalLossExhaustsRetransmitsAndNamesThePeer) {
 
   world w(2, {.timeout = 10000ms, .faults = plan});
   std::atomic<int> unreachable_peer{-2};
+  std::atomic<unreachable_cause> cause{unreachable_cause::departed};
   EXPECT_THROW(
       w.run([&](communicator& c) {
         reliable_options opts;
@@ -393,6 +396,7 @@ TEST(ReliableChannel, TotalLossExhaustsRetransmitsAndNamesThePeer) {
             ch.flush();
           } catch (const peer_unreachable_error& e) {
             unreachable_peer = e.peer();
+            cause = e.cause();
             throw;
           }
         } else {
@@ -401,6 +405,7 @@ TEST(ReliableChannel, TotalLossExhaustsRetransmitsAndNamesThePeer) {
       }),
       peer_unreachable_error);
   EXPECT_EQ(unreachable_peer.load(), 1);
+  EXPECT_EQ(cause.load(), unreachable_cause::retransmits_exhausted);
 }
 
 // ---- recv-side timeouts under simultaneous multi-peer drops -----------------
@@ -484,6 +489,9 @@ TEST(MultiPeerDrops, ReliableChannelHealsSimultaneousFirstFrameLoss) {
 // Permanently severed links: the receiver's recv_timeout converts the wait
 // into peer_unreachable_error naming the silent peer, even while a second
 // peer's link is down at the same time.
+// The silence fallback: both senders stay alive (pumping, so neither
+// departs) while every frame they send is lost. Only recv_timeout can end
+// rank 0's wait, and it must name the peer it was waiting on.
 TEST(MultiPeerDrops, ReliableRecvTimeoutNamesTheSilentPeer) {
   fault_plan plan;
   plan.seed = 5;
@@ -497,29 +505,135 @@ TEST(MultiPeerDrops, ReliableRecvTimeoutNamesTheSilentPeer) {
 
   world w(3, {.timeout = 10000ms, .faults = plan});
   std::atomic<int> named_peer{-2};
+  std::atomic<unreachable_cause> cause{unreachable_cause::departed};
   EXPECT_THROW(
       w.run([&](communicator& c) {
         reliable_options opts;
         opts.retransmit_timeout = std::chrono::microseconds{200};
         opts.max_backoff = std::chrono::microseconds{800};
-        opts.max_retransmits = 100;  // senders outlive the receiver's patience
+        // Senders must outlive the receiver's patience: ~8 s of
+        // retransmits before exhaustion against a 300 ms recv_timeout.
+        opts.max_retransmits = 10000;
         opts.recv_timeout = 300ms;
+        if (c.rank() != 0) opts.recv_timeout = 0ms;  // wait until aborted
         reliable_channel ch(c, opts);
         if (c.rank() == 0) {
           try {
             (void)ch.recv(1, 7);
           } catch (const peer_unreachable_error& e) {
             named_peer = e.peer();
+            cause = e.cause();
             throw;
           }
         } else {
           ch.send(0, 7, std::vector<double>{1.0});
-          // No flush: retransmit exhaustion on the senders would race the
-          // receiver's recv_timeout for which exception wins.
+          // A pumping wait that only rank 0's throw ends (world_aborted):
+          // the senders never depart while rank 0 is still waiting.
+          (void)ch.recv(0, 8);
         }
       }),
       peer_unreachable_error);
   EXPECT_EQ(named_peer.load(), 1);
+  EXPECT_EQ(cause.load(), unreachable_cause::recv_timeout);
+}
+
+// ---- departure: the in-process definite death signal ------------------------
+
+// Parks the calling rank (without pumping) until `peer` has departed, so
+// the departure path — not ordinary pumping — is what the test exercises.
+void wait_departed(const communicator& c, int peer) {
+  while (!c.departed(peer)) std::this_thread::yield();
+}
+
+TEST(Departure, PayloadOfASenderThatReturnedAtOnceIsStillReceived) {
+  world w(2, {.timeout = 10000ms, .faults = {}});
+  std::vector<double> got;
+  reliable_stats receiver;
+  w.run([&](communicator& c) {
+    reliable_channel ch(c);
+    if (c.rank() == 1) {
+      ch.send(0, 4, std::vector<double>{1.0, 2.0});
+      ch.abandon();  // leave at once: no flush, no linger
+      return;
+    }
+    wait_departed(c, 1);
+    got = ch.recv(1, 4);  // drained before departure is declared
+    receiver = ch.stats();
+  });
+  EXPECT_EQ(got, (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(receiver.peer_departures, 0);
+  EXPECT_FALSE(w.aborted());
+}
+
+TEST(Departure, FlushCompletesWhenTheReceiverAckedAndReturned) {
+  world w(2, {.timeout = 10000ms, .faults = {}});
+  reliable_stats sender;
+  w.run([&](communicator& c) {
+    reliable_channel ch(c);
+    if (c.rank() == 1) {
+      (void)ch.recv(0, 4);  // acks, then returns
+      return;
+    }
+    ch.send(1, 4, std::vector<double>{3.0});
+    wait_departed(c, 1);  // the ack is in the mailbox, not yet pumped
+    ch.flush();
+    sender = ch.stats();
+  });
+  EXPECT_EQ(sender.acks_received, 1);
+  EXPECT_EQ(sender.peer_departures, 0);
+  EXPECT_FALSE(w.aborted());
+}
+
+TEST(Departure, FlushToAPeerThatReturnedUnreadThrowsDeparted) {
+  world w(2, {.timeout = 10000ms, .faults = {}});
+  std::atomic<int> named_peer{-2};
+  std::atomic<unreachable_cause> cause{unreachable_cause::recv_timeout};
+  reliable_stats sender;
+  w.run([&](communicator& c) {
+    if (c.rank() == 1) return;  // never reads, never acks
+    reliable_options opts;
+    // Tens of seconds of retransmit budget: only departure can end this
+    // flush quickly.
+    opts.retransmit_timeout = 1000ms;
+    opts.max_backoff = 1000ms;
+    opts.max_retransmits = 40;
+    reliable_channel ch(c, opts);
+    ch.send(1, 4, std::vector<double>{5.0});
+    try {
+      ch.flush();
+    } catch (const peer_unreachable_error& e) {
+      named_peer = e.peer();
+      cause = e.cause();
+    }
+    ch.abandon();
+    sender = ch.stats();
+  });
+  EXPECT_EQ(named_peer.load(), 1);
+  EXPECT_EQ(cause.load(), unreachable_cause::departed);
+  EXPECT_EQ(sender.peer_departures, 1);
+}
+
+TEST(Departure, ReusedWorldClearsTheFlagsBetweenRuns) {
+  world w(2);
+  std::atomic<bool> saw_departure{false};
+  std::atomic<bool> checked{false};
+  std::atomic<bool> stale_flag{true};
+  w.run([&](communicator& c) {
+    if (c.rank() == 0) {
+      wait_departed(c, 1);
+      saw_departure = true;
+    }
+  });
+  w.run([&](communicator& c) {
+    if (c.rank() == 0) {
+      stale_flag = c.departed(1);  // rank 1 is parked below: still here
+      checked = true;
+    } else {
+      while (!checked) std::this_thread::yield();
+    }
+  });
+  EXPECT_TRUE(saw_departure.load());
+  EXPECT_FALSE(stale_flag.load());
 }
 
 TEST(ReliableChannel, StaleEpochTrafficIsDropped) {

@@ -193,6 +193,28 @@ TEST(ChaosKills, PartitionSoakKeepsSerialParityThroughKills) {
   EXPECT_GT(report.recovered_trials, 0);
 }
 
+TEST(ChaosKills, CandidateThatSpentAReportToAdoptStillGetsItsRollCall) {
+  // Regression schedule from a rank-kill soak. Rank 0 dies; rank 1 mints
+  // epoch 1 and dies in it. Rank 2, still in epoch 0, adopts epoch 1
+  // through rank 3's suspicion report, then coordinates epoch 2 and prods
+  // rank 3 for a report. Rank 3, parked in its NEWGROUP wait, used to
+  // ignore the prod, so rank 2 evicted it and the run aborted below
+  // quorum. Fast (departure) detection makes this interleaving the common
+  // one in-process.
+  using kind = chaos_fault::kind;
+  chaos_schedule s;
+  s.seed = 25035;
+  s.faults = {{kind::reorder, 3, 2, 8},
+              {kind::corrupt, 1, 3, 3},
+              {kind::truncate, 1, 2, 0},
+              {kind::drop, 0, 1, 4}};
+  s.kills = {{0, 6}, {1, 12}};
+  const partition_chaos_trial trial = partition_chaos_harness().run(s);
+  EXPECT_TRUE(trial.passed) << trial.failure;
+  EXPECT_FALSE(trial.aborted);
+  EXPECT_EQ(trial.counters.injected_kills, 2);
+}
+
 TEST(ChaosShrink, UnreproducibleFailureIsReturnedUnchanged) {
   // A schedule that passes cannot be shrunk; shrink_failure hands it back.
   const chaos_harness harness(small_problem());
